@@ -37,9 +37,6 @@ from .monadic import (
 )
 from .parser import ParseError, parse, parse_formula, parse_formulas_infer, parse_path
 from .predicabilia import (
-    Accident,
-    Difference,
-    Property,
     classify_formula,
     generators,
     porphyry_tree,
@@ -198,20 +195,13 @@ def _cmd_tree(args, ceiling):
     return EXIT_OK, payload, text
 
 
-_VERDICT_NAMES = {
-    Difference: "difference",
-    Property: "property",
-    Accident: "accident",
-}
-
-
 def _cmd_classify(args, ceiling):
     pf = parse_path(args.file)
     rho = parse_formula(args.formula, pf.signature, pf.system)
     verdict = classify_formula(
         rho, args.species, pf.system, bound=args.bound, ceiling=ceiling
     )
-    kind = _VERDICT_NAMES.get(type(verdict), "unrelated")
+    kind = type(verdict).__name__.lower()
     payload = {
         "command": "classify",
         "species": args.species,

@@ -13,13 +13,14 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Union
 
-from .semantics import FiniteModel, enumerate_models, evaluate
+from .semantics import FiniteModel, HoldsUpTo, bounded_entails, evaluate, recheck
 from .syntax import (
     And,
     Const,
     Eq,
     Exists,
     Formula,
+    Iff,
     Pred,
     Signature,
     Term,
@@ -308,7 +309,7 @@ def dependency_graph(d: DefinitionSystem) -> DependencyGraph:
             if name in body_syms and (e.name, name) not in edges:
                 edges.append((e.name, name))
     for src, dst in edges:
-        assert index[dst] < index[src], "dependency must point backwards"
+        recheck(index[dst] < index[src], "dependency must point backwards")
     return DependencyGraph(
         nodes=tuple(e.name for e in d.entries), edges=tuple(edges)
     )
@@ -487,20 +488,17 @@ def irreducibility_warnings(
         parts = conjuncts(e.body)
         if len(parts) < 2:
             continue
-        params = e.params if isinstance(e, PredicateDef) else (e.var,)
         full = exp.expand(e.body)
         for j in range(len(parts)):
             reduced = exp.expand(big_and(parts[:j] + parts[j + 1 :]))
-            if _same_extent(d.base, full, reduced, params, size_bound, ceiling):
+            if _same_extent(d.base, full, reduced, size_bound, ceiling):
                 warnings.append(RedundancyWarning(i, j, render(parts[j])))
     return tuple(warnings)
 
 
-def _same_extent(sig, f, g, params, size_bound, ceiling) -> bool:
-    for size in range(1, size_bound + 1):
-        for m in enumerate_models(sig, size, ceiling):
-            for tup in product(range(size), repeat=len(params)):
-                env = dict(zip(params, tup))
-                if evaluate(f, m, env) != evaluate(g, m, env):
-                    return False
-    return True
+def _same_extent(sig, f, g, size_bound, ceiling) -> bool:
+    # Valid bodies have no free variables beyond their parameters, and a
+    # parameter the body ignores cannot change its truth, so scanning the
+    # free variables of f <-> g covers every assignment that matters.
+    verdict = bounded_entails(sig, (), Iff(f, g), size_bound, ceiling)
+    return isinstance(verdict, HoldsUpTo)

@@ -20,7 +20,7 @@ from .defsys import (
     _require_valid,
     expand_model,
 )
-from .semantics import FiniteModel
+from .semantics import FiniteModel, recheck
 from .syntax import (
     And,
     Formula,
@@ -267,8 +267,13 @@ def reconstruct(
         supersets = [p for p in order if elems < sets[p]]
         if supersets:
             parent = min(supersets, key=lambda p: len(sets[p]))
-            for a, b in combinations(supersets, 2):
-                assert sets[a] <= sets[b] or sets[b] <= sets[a]
+            recheck(
+                all(
+                    sets[a] <= sets[b] or sets[b] <= sets[a]
+                    for a, b in combinations(supersets, 2)
+                ),
+                "supersets of a class must form a chain",
+            )
             parent_cells = frozenset(
                 c for c in realized if classes[c] <= sets[parent]
             )
@@ -286,6 +291,8 @@ def reconstruct(
 
     system = DefinitionSystem(g.signature, tuple(entries))
     rebuilt = extensions(system, m).as_dict()
-    for name in order:
-        assert rebuilt[mapping[name]] == sets[name], "round-trip must be exact"
+    recheck(
+        all(rebuilt[mapping[name]] == sets[name] for name in order),
+        "round-trip must be exact",
+    )
     return ReconstructedSystem(system, mapping)

@@ -28,9 +28,11 @@ from .semantics import (
     Countermodel,
     FiniteModel,
     Holds,
+    HoldsUpTo,
     ResourceCeilingError,
-    enumerate_models,
+    bounded_entails,
     evaluate,
+    recheck,
 )
 from .syntax import (
     And,
@@ -232,8 +234,9 @@ def decide_sat(
 
     Free variables are treated as extra constants and reported in the
     witness assignment.  With allow_equality, unary formulas with `=` are
-    decided instead by brute-force enumeration up to the larger bound
-    2^k * max(1, quantifier depth); this path is slower and off by default.
+    decided instead by the bounded scan of semantics.bounded_entails over
+    universe sizes 1..2^k * max(1, quantifier depth); the witness is the
+    first model of f in that scan.  This path is slower and off by default.
     """
     if allow_equality and uses_equality(f):
         return _decide_sat_eq(f, sig, ceiling)
@@ -264,7 +267,7 @@ def decide_sat(
     model, assignment = _canonical_model(
         best[1], best[2], preds, sig, pred_index
     )
-    assert evaluate(f, model, dict(assignment))
+    recheck(evaluate(f, model, dict(assignment)), "witness must satisfy f")
     return Sat(model, assignment)
 
 
@@ -282,14 +285,10 @@ def _decide_sat_eq(
         raise ValueError("equality extension still requires unary predicates")
     k = len(arities)
     bound = (1 << k) * max(1, quantifier_depth(f))
-    frees = sorted(free_vars(f))
-    for size in range(1, bound + 1):
-        for m in enumerate_models(sig, size, ceiling):
-            for combo in product(range(size), repeat=len(frees)):
-                env = dict(zip(frees, combo))
-                if evaluate(f, m, env):
-                    return Sat(m, env)
-    return Unsat()
+    verdict = bounded_entails(sig, (), Not(f), bound, ceiling)
+    if isinstance(verdict, HoldsUpTo):
+        return Unsat()
+    return Sat(verdict.model, verdict.assignment)
 
 
 def decide_entails(
@@ -309,8 +308,12 @@ def decide_entails(
     verdict = decide_sat(test, sig, ceiling)
     if isinstance(verdict, Unsat):
         return Holds()
-    assert evaluate(premise, verdict.model, dict(verdict.assignment))
-    assert not evaluate(conclusion, verdict.model, dict(verdict.assignment))
+    env = dict(verdict.assignment)
+    recheck(
+        evaluate(premise, verdict.model, env)
+        and not evaluate(conclusion, verdict.model, env),
+        "countermodel must satisfy the premise and refute the conclusion",
+    )
     return Countermodel(verdict.model, verdict.assignment)
 
 
@@ -481,5 +484,8 @@ def _check_equivalent(
     f: Formula, form: MonadicNormalForm, sig: Signature, ceiling: int | None
 ) -> None:
     g = form.to_formula()
-    assert isinstance(decide_entails(f, g, sig, ceiling), Holds)
-    assert isinstance(decide_entails(g, f, sig, ceiling), Holds)
+    recheck(
+        isinstance(decide_entails(f, g, sig, ceiling), Holds)
+        and isinstance(decide_entails(g, f, sig, ceiling), Holds),
+        "normal form must be equivalent to the input",
+    )

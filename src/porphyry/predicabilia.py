@@ -10,7 +10,7 @@ stated model-size bound outside it, with the engine always recorded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 from .defsys import DefinitionSystem, PredicateDef, _require_valid, unfold
 from .monadic import decide_entails, is_monadic
@@ -21,6 +21,7 @@ from .semantics import (
     HoldsUpTo,
     bounded_entails,
     default_bound,
+    recheck,
 )
 from .syntax import (
     And,
@@ -118,7 +119,7 @@ def porphyry_tree(
         and len(e.params) == 1
         and e.name not in in_tree
     )
-    assert len(has_genus) == len(edges), "one genus edge per species"
+    recheck(len(has_genus) == len(edges), "one genus edge per species")
     return PorphyryTree(nodes, tuple(edges), roots), unguarded
 
 
@@ -160,34 +161,28 @@ def _pick_engine(
 
 
 @dataclass(frozen=True)
-class Difference:
+class ClassificationVerdict:
+    """Base of the four verdicts; the subclass is the verdict itself."""
+
     evidence: dict[str, EntailmentVerdict]
     exact: bool
     bound: int | None
 
 
-@dataclass(frozen=True)
-class Property:
-    evidence: dict[str, EntailmentVerdict]
-    exact: bool
-    bound: int | None
+class Difference(ClassificationVerdict):
+    pass
 
 
-@dataclass(frozen=True)
-class Accident:
-    evidence: dict[str, EntailmentVerdict]
-    exact: bool
-    bound: int | None
+class Property(ClassificationVerdict):
+    pass
 
 
-@dataclass(frozen=True)
-class Unrelated:
-    evidence: dict[str, EntailmentVerdict]
-    exact: bool
-    bound: int | None
+class Accident(ClassificationVerdict):
+    pass
 
 
-ClassificationVerdict = Union[Difference, Property, Accident, Unrelated]
+class Unrelated(ClassificationVerdict):
+    pass
 
 
 def _species_entry(d: DefinitionSystem, species: str) -> PredicateDef:
@@ -338,7 +333,7 @@ def proximate_genus(
             if _holds(eng.entails(And(c_u, delta), psi)):
                 best = delta
                 break
-        assert best is not None, "full conjunction always recovers the body"
+        recheck(best is not None, "full conjunction always recovers the body")
         scores.append(
             CandidateScore(c, True, best, node_count(nnf(best)))
         )
@@ -391,8 +386,13 @@ def generators(
         for i in range(n)
     ]
     flags = tuple(all(entails[i]) for i in range(n))
-    for i in range(n):
-        for j in range(n):
-            if flags[i] and flags[j]:
-                assert entails[i][j], "generators must be mutually entailing"
+    recheck(
+        all(
+            entails[i][j]
+            for i in range(n)
+            for j in range(n)
+            if flags[i] and flags[j]
+        ),
+        "generators must be mutually entailing",
+    )
     return TheorySet(tuple(sentences), flags, eng.exact, eng.bound)

@@ -9,9 +9,8 @@ ceiling guards every enumeration; nothing silently explodes.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import islice, product
+from itertools import product
 from typing import Iterator, Mapping
 
 from .syntax import (
@@ -36,6 +35,16 @@ from .syntax import (
 
 DEFAULT_CEILING = 2_000_000
 _MISSING = object()
+
+
+class RecheckError(AssertionError):
+    """A verdict failed the independent re-check made before returning it."""
+
+
+def recheck(ok: bool, what: str) -> None:
+    """Raise RecheckError unless ok; unlike assert, stays on under -O."""
+    if not ok:
+        raise RecheckError(what)
 
 
 class ResourceCeilingError(Exception):
@@ -220,16 +229,14 @@ def bounded_entails(
     conclusion: Formula,
     bound: int | None = None,
     ceiling: int | None = None,
-    workers: int = 1,
 ) -> HoldsUpTo | Countermodel:
     """Search universes of size 1..bound for a countermodel.
 
     Free variables shared between premises and conclusion range over one
     assignment; for a countermodel all premises are true and the conclusion
     false under it.  The countermodel returned is the first in enumeration
-    order (smallest size first, assignments varying fastest), re-checked by
-    evaluate before being returned, and is identical no matter how many
-    workers scan the space.
+    order (smallest size first, assignments varying fastest) and is
+    re-checked by evaluate before being returned.
     """
     if bound is None:
         bound = default_bound(sig)
@@ -241,42 +248,20 @@ def bounded_entails(
         else free_vars(conclusion)
     )
     for size in range(1, bound + 1):
-        hit = _scan_size(sig, premises, conclusion, frees, size, ceiling, workers)
+        hit = _scan(sig, premises, conclusion, frees, size, ceiling)
         if hit is not None:
             model, env = hit
-            for p in premises:
-                assert evaluate(p, model, env)
-            assert not evaluate(conclusion, model, env)
+            recheck(
+                all(evaluate(p, model, env) for p in premises)
+                and not evaluate(conclusion, model, env),
+                "countermodel must satisfy the premises and refute the conclusion",
+            )
             return Countermodel(model, env)
     return HoldsUpTo(bound)
 
 
-def _scan_size(sig, premises, conclusion, frees, size, ceiling, workers):
-    total = count_models(sig, size)
-    if workers <= 1 or total < 4 * workers:
-        return _scan_range(sig, premises, conclusion, frees, size, ceiling, 0, total)
-    chunk = (total + workers - 1) // workers
-    ranges = [
-        (lo, min(lo + chunk, total)) for lo in range(0, total, chunk)
-    ]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(
-            pool.map(
-                lambda r: _scan_range(
-                    sig, premises, conclusion, frees, size, ceiling, r[0], r[1]
-                ),
-                ranges,
-            )
-        )
-    for res in results:
-        if res is not None:
-            return res
-    return None
-
-
-def _scan_range(sig, premises, conclusion, frees, size, ceiling, lo, hi):
-    models = islice(enumerate_models(sig, size, ceiling), lo, hi)
-    for model in models:
+def _scan(sig, premises, conclusion, frees, size, ceiling):
+    for model in enumerate_models(sig, size, ceiling):
         for assignment in product(range(size), repeat=len(frees)):
             env = dict(zip(frees, assignment))
             if all(evaluate(p, model, env) for p in premises) and not evaluate(

@@ -241,16 +241,49 @@ def test_dependency_graph_dot():
 
 
 def test_irreducibility_warnings():
-    d = D(
-        PredicateDef(
-            "A", ("x",), And(P("M1", "x"), Or(P("M1", "x"), P("M2", "x")))
+    sig_r = Signature((("R", 2),), (), False)
+    rxx = Pred("R", (Var("x"), Var("x")))
+    rxy = Exists("y", Pred("R", (Var("x"), Var("y"))))
+    cases = [
+        (
+            SIG,
+            [
+                (P("M1", "x"), Or(P("M1", "x"), P("M2", "x"))),
+                (P("M1", "x"), P("M2", "x")),
+            ],
+            [(0, 1, "M1(x) | M2(x)")],
         ),
-        PredicateDef("B", ("x",), And(P("M1", "x"), P("M2", "x"))),
-    )
-    ws = irreducibility_warnings(d)
-    assert [(w.entry, w.conjunct, w.rendered) for w in ws] == [
-        (0, 1, "M1(x) | M2(x)")
+        (sig_r, [(rxx, rxy)], [(0, 1, "exists y. R(x, y)")]),
     ]
+    for sig, bodies, expected in cases:
+        d = D(
+            *(
+                PredicateDef(f"A{i}", ("x",), And(*parts))
+                for i, parts in enumerate(bodies)
+            ),
+            sig=sig,
+        )
+        ws = irreducibility_warnings(d)
+        assert [(w.entry, w.conjunct, w.rendered) for w in ws] == expected
+        # Oracle: conjunct j is removable iff the body and the other
+        # conjunct have the same extent on every model of size 1..3.
+        models = [
+            m
+            for n in range(1, 4)
+            for m in all_models(sig.predicates, sig.constants, n)
+        ]
+        removable = [
+            (i, j)
+            for i, parts in enumerate(bodies)
+            for j in range(2)
+            if all(
+                naive_eval(And(*parts), m, {"x": e})
+                == naive_eval(parts[1 - j], m, {"x": e})
+                for m in models
+                for e in range(m.size)
+            )
+        ]
+        assert [(w.entry, w.conjunct) for w in ws] == removable
 
 
 def test_system_to_dsl_round_trip():

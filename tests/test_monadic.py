@@ -148,6 +148,32 @@ def test_decide_sat_equality_mode():
     one = F("(forall x. forall y. x = y) & (exists z. !(z = y))", sige)
     assert decide_sat(one, sige, allow_equality=True) == Unsat()
 
+    # Free variable y; the bound is 2^k * max(1, quantifier depth).
+    sig2e = Signature((("M1", 1), ("M2", 1)), (), True)
+    cases = [
+        ("exists x. !(x = y) & M1(x) & !M1(y)", 2),
+        ("(forall x. x = y) & M1(y) & M2(y)", 4),
+        ("exists x. exists z. !(x = z) & !(x = y) & !(z = y) & M1(x)", 4),
+        ("M1(y) & (forall x. M1(x) -> !(x = y))", 2),
+        ("(forall x. x = y) & (exists z. !(z = y))", 1),
+    ]
+    for text, bound in cases:
+        f = F(text, sig2e)
+        sizes = [
+            n
+            for n in range(1, bound + 1)
+            if any(
+                naive_eval(f, m, {"y": e})
+                for m in all_models(sig2e.predicates, (), n)
+                for e in range(n)
+            )
+        ]
+        v = decide_sat(f, sig2e, allow_equality=True)
+        assert isinstance(v, Sat) == bool(sizes), text
+        if sizes:
+            assert naive_eval(f, v.model, dict(v.assignment)), text
+            assert v.model.size == sizes[0], text
+
 
 def test_decide_entails_basic():
     assert decide_entails(

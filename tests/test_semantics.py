@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +26,7 @@ from porphyry import (
     ResourceCeilingError,
     Signature,
     Var,
+    RecheckError,
     bounded_entails,
     count_models,
     default_bound,
@@ -136,20 +139,6 @@ def test_bounded_entails_free_variable_assignment():
     assert (e,) not in v.model.predicates["M2"]
 
 
-def test_bounded_entails_workers_deterministic():
-    prem = chain_condition(3)
-    conc = chain_condition(1)
-    one = bounded_entails(SIGR, [prem], conc, 4, workers=1)
-    two = bounded_entails(SIGR, [prem], conc, 4, workers=2)
-    assert isinstance(one, Countermodel)
-    assert one == two
-    clean1 = bounded_entails(SIG2, [], Exists("x", Pred("M1", (Var("x"),))), 3, workers=2)
-    assert isinstance(clean1, Countermodel)
-    assert clean1 == bounded_entails(
-        SIG2, [], Exists("x", Pred("M1", (Var("x"),))), 3, workers=1
-    )
-
-
 def test_bounded_entails_premise_set():
     m1 = Exists("x", Pred("M1", (Var("x"),)))
     only = Forall("x", And(Pred("M1", (Var("x"),)), Not(Pred("M2", (Var("x"),)))))
@@ -161,3 +150,20 @@ def test_bounded_entails_premise_set():
 def test_cycle_model_helper_sanity():
     assert evaluate(chain_condition(2), cycle_model(3), {})
     assert not evaluate(chain_condition(1), cycle_model(3), {})
+
+
+def test_no_bare_asserts_in_package():
+    # Re-checks must stay on under python -O, so the package raises
+    # RecheckError instead of using assert statements.
+    import porphyry
+
+    assert issubclass(RecheckError, AssertionError)
+    sources = sorted(Path(porphyry.__file__).parent.glob("*.py"))
+    assert sources
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
