@@ -36,8 +36,6 @@ from .semantics import (
 )
 from .syntax import (
     And,
-    BINARY,
-    Eq,
     Exists,
     Falsum,
     Forall,
@@ -47,7 +45,6 @@ from .syntax import (
     Not,
     Or,
     Pred,
-    QUANTIFIERS,
     Signature,
     Var,
     Verum,
@@ -57,6 +54,7 @@ from .syntax import (
     free_vars,
     nnf,
     predicates_of,
+    quantifier_depth,
     rename_apart,
     render,
     uses_equality,
@@ -72,18 +70,6 @@ def is_monadic(f: Formula) -> bool:
     except ValueError:
         return False
     return all(a == 1 for a in arities.values())
-
-
-def quantifier_depth(f: Formula) -> int:
-    if isinstance(f, (Verum, Falsum, Pred, Eq)):
-        return 0
-    if isinstance(f, Not):
-        return quantifier_depth(f.body)
-    if isinstance(f, BINARY):
-        return max(quantifier_depth(f.left), quantifier_depth(f.right))
-    if isinstance(f, QUANTIFIERS):
-        return 1 + quantifier_depth(f.body)
-    raise TypeError(f"not a formula: {f!r}")
 
 
 @dataclass(frozen=True)

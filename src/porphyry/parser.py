@@ -15,7 +15,9 @@ Formula connectives, loosest first: `<->`, `->`, `|`, `&`, `!`; the two
 arrows associate to the right.  `forall x.` / `exists y.` bind as far right
 as possible, so `!` and `&` written before a quantifier apply to its whole
 body.  Atoms: `true`, `false`, `P(t, ...)`, bare `P` for a 0-ary predicate,
-and `t = u` when the signature declares equality.
+and `t = u` when the signature declares equality.  Parentheses, quantifier
+bodies, `!` and the right operand of an arrow each open one nesting level;
+a formula nested deeper than MAX_NESTING levels is a ParseError.
 
 Definition bodies may mention symbols that are not declared (yet); ordering
 and arity discipline is the validator's job, so broken systems still parse
@@ -56,6 +58,10 @@ from .syntax import (
     fresh_name,
     rename_apart,
 )
+
+# Each level costs the recursive-descent parser up to eight stack frames: a
+# formula at the limit parses in about 820, inside Python's default 1000.
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -139,6 +145,7 @@ class _Parser:
     def __init__(self, text: str):
         self.toks = tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     # ----------------------------------------------------- token plumbing
 
@@ -419,19 +426,29 @@ class _Parser:
 
     # ---------------------------------------------------------- formulas
 
+    def nested(self, parse, scope: "_Scope") -> Formula:
+        """Run a sub-parser one nesting level deeper."""
+        if self.depth >= MAX_NESTING:
+            raise self.fail(f"formula nested deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        try:
+            return parse(scope)
+        finally:
+            self.depth -= 1
+
     def formula(self, scope: "_Scope") -> Formula:
         return self.iff(scope)
 
     def iff(self, scope: "_Scope") -> Formula:
         left = self.implies(scope)
         if self.eat("<->"):
-            return Iff(left, self.iff(scope))
+            return Iff(left, self.nested(self.iff, scope))
         return left
 
     def implies(self, scope: "_Scope") -> Formula:
         left = self.disj(scope)
         if self.eat("->"):
-            return Implies(left, self.implies(scope))
+            return Implies(left, self.nested(self.implies, scope))
         return left
 
     def disj(self, scope: "_Scope") -> Formula:
@@ -448,7 +465,7 @@ class _Parser:
 
     def unary(self, scope: "_Scope") -> Formula:
         if self.eat("!"):
-            return Not(self.unary(scope))
+            return Not(self.nested(self.unary, scope))
         t = self.peek()
         if t.text in ("forall", "exists") and t.kind == "KEYWORD":
             self.advance()
@@ -461,7 +478,7 @@ class _Parser:
             self.expect(".")
             scope.bound.add(var.text)
             try:
-                body = self.formula(scope)
+                body = self.nested(self.formula, scope)
             finally:
                 scope.bound.discard(var.text)
             cls = Forall if t.text == "forall" else Exists
@@ -471,7 +488,7 @@ class _Parser:
     def atom(self, scope: "_Scope") -> Formula:
         t = self.peek()
         if self.eat("("):
-            inner = self.formula(scope)
+            inner = self.nested(self.formula, scope)
             self.expect(")")
             return inner
         if t.kind == "KEYWORD" and t.text in ("true", "false"):

@@ -1,10 +1,20 @@
 """Finite models, Tarskian evaluation, and bounded entailment search.
 
-Everything here is brute force on purpose: models are enumerated in a fixed
-deterministic order (constants vary fastest, then predicate extents in
-lexicographic bitmask order, later signature entries cycling faster), so the
-first countermodel found is a stable, reproducible artifact.  A resource
-ceiling guards every enumeration; nothing silently explodes.
+The interpretations of a signature on {0..size-1} are numbered.  Index i is
+read as mixed-radix digits, one of radix 2^(size^arity) per predicate and one
+of radix size per constant, in signature order with the last digit varying
+fastest: bit j of a predicate's digit puts its j-th argument tuple, in
+lexicographic order, into the extent, and a constant's digit is its element.
+`enumerate_models` walks this order, so the first countermodel found is a
+stable, reproducible artifact.
+
+`bounded_entails` scans the same order in chunks.  It decodes a chunk of
+indices at once into boolean extent arrays and evaluates each formula over
+the whole chunk, and over every assignment of its free variables, as one
+numpy boolean tensor; the first hit in enumeration order is the countermodel.
+`evaluate`, the plain recursive evaluator, re-checks that witness before it
+is returned.  A resource ceiling guards every enumeration; nothing silently
+explodes.
 """
 
 from __future__ import annotations
@@ -12,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterator, Mapping
+
+import numpy as np
 
 from .syntax import (
     And,
@@ -31,10 +43,15 @@ from .syntax import (
     Var,
     Verum,
     free_vars,
+    quantifier_depth,
 )
 
 DEFAULT_CEILING = 2_000_000
 _MISSING = object()
+# Most cells one boolean array of the scan may hold.  Chunks of
+# interpretations, and the axes they get, are sized to stay under it, which
+# caps the scan's memory.
+_CHUNK_CELLS = 1 << 20
 
 
 class RecheckError(AssertionError):
@@ -161,33 +178,68 @@ def count_models(sig: Signature, size: int) -> int:
 def enumerate_models(
     sig: Signature, size: int, ceiling: int | None = None
 ) -> Iterator[FiniteModel]:
-    """All interpretations of sig on {0..size-1}, exactly once, in order."""
+    """All interpretations of sig on {0..size-1}, exactly once, in index order."""
     if size < 1:
         raise ValueError("universe must be nonempty")
+    total = _check_ceiling(sig, size, ceiling)
+    step = _models_per_chunk(sig, size, 1)
+    for start in range(0, total, step):
+        n = min(step, total - start)
+        preds, consts = _decode(sig, size, start, n)
+        for row in range(n):
+            yield _model(size, preds, consts, row)
+
+
+def _check_ceiling(sig: Signature, size: int, ceiling: int | None) -> int:
     limit = DEFAULT_CEILING if ceiling is None else ceiling
     needed = count_models(sig, size)
     if needed > limit:
         raise ResourceCeilingError(needed, limit)
-    names = [name for name, _ in sig.predicates]
-    tuple_lists = [
-        list(product(range(size), repeat=arity)) for _, arity in sig.predicates
-    ]
-    mask_ranges = [range(1 << len(ts)) for ts in tuple_lists]
-    const_ranges = [range(size)] * len(sig.constants)
-    for combo in product(*mask_ranges, *const_ranges):
-        masks = combo[: len(names)]
-        cvals = combo[len(names):]
-        preds = {
-            name: frozenset(
-                ts[i] for i in range(len(ts)) if (mask >> i) & 1
-            )
-            for name, ts, mask in zip(names, tuple_lists, masks)
-        }
-        yield FiniteModel(
-            size=size,
-            constants=dict(zip(sig.constants, cvals)),
-            predicates=preds,
-        )
+    return needed
+
+
+def _models_per_chunk(sig: Signature, size: int, cells: int) -> int:
+    """How many models, each needing `cells` cells, fit the chunk budget."""
+    bits = sum(size**arity for _, arity in sig.predicates)
+    return max(1, _CHUNK_CELLS // max(cells, bits))
+
+
+def _decode(sig: Signature, size: int, start: int, n: int):
+    """Interpretations start..start+n-1 as arrays whose last axis is the
+    model: each extent as booleans of shape (size, ..., size, n), one axis
+    per argument, and each constant as elements of shape (n,)."""
+    # Past 2^62 interpretations a digit may not fit in int64: use exact
+    # Python integers instead.
+    wide = count_models(sig, size) > 1 << 62
+    rest = np.arange(n, dtype=object if wide else np.int64) + start
+    radices = [1 << size**arity for _, arity in sig.predicates]
+    radices += [size] * len(sig.constants)
+    digits = []
+    for radix in reversed(radices):
+        digits.append(rest % radix)
+        rest = rest // radix
+    digits.reverse()
+    preds = {}
+    for (name, arity), mask in zip(sig.predicates, digits):
+        bits = (mask >> np.arange(size**arity, dtype=mask.dtype)[:, None]) & 1
+        preds[name] = bits.astype(bool).reshape((size,) * arity + (n,))
+    consts = {
+        name: digit.astype(np.intp)
+        for name, digit in zip(sig.constants, digits[len(sig.predicates):])
+    }
+    return preds, consts
+
+
+def _model(size: int, preds, consts, row: int) -> FiniteModel:
+    """Model `row` of a decoded chunk as a FiniteModel."""
+    return FiniteModel(
+        size=size,
+        constants={name: int(v[row]) for name, v in consts.items()},
+        predicates={
+            name: frozenset(map(tuple, np.argwhere(ext[..., row]).tolist()))
+            for name, ext in preds.items()
+        },
+    )
 
 
 def default_bound(sig: Signature) -> int:
@@ -234,21 +286,32 @@ def bounded_entails(
 
     Free variables shared between premises and conclusion range over one
     assignment; for a countermodel all premises are true and the conclusion
-    false under it.  The countermodel returned is the first in enumeration
-    order (smallest size first, assignments varying fastest) and is
+    false under it.  Every predicate and constant must be declared in sig,
+    predicates with their arity, or ValueError names the symbol before any
+    model is built.  Each size must fit the ceiling (ResourceCeilingError
+    otherwise, raised before that size is scanned).
+
+    The scan decodes chunks of interpretation indices into boolean arrays
+    and evaluates the premises and the conclusion over a whole chunk and
+    every assignment at once.  The countermodel returned is the first hit in
+    enumeration order (smallest size first, then interpretation index, then
+    assignments with the sorted free variables varying last-fastest) and is
     re-checked by evaluate before being returned.
     """
     if bound is None:
         bound = default_bound(sig)
     if bound < 1:
         raise ValueError("bound must be at least 1")
+    for f in (*premises, conclusion):
+        _check_symbols(sig, f)
+    depth = max(quantifier_depth(f) for f in (*premises, conclusion))
     frees = sorted(
         frozenset().union(*(free_vars(p) for p in premises), free_vars(conclusion))
         if premises
         else free_vars(conclusion)
     )
     for size in range(1, bound + 1):
-        hit = _scan(sig, premises, conclusion, frees, size, ceiling)
+        hit = _scan(sig, premises, conclusion, frees, depth, size, ceiling)
         if hit is not None:
             model, env = hit
             recheck(
@@ -260,12 +323,159 @@ def bounded_entails(
     return HoldsUpTo(bound)
 
 
-def _scan(sig, premises, conclusion, frees, size, ceiling):
-    for model in enumerate_models(sig, size, ceiling):
-        for assignment in product(range(size), repeat=len(frees)):
-            env = dict(zip(frees, assignment))
-            if all(evaluate(p, model, env) for p in premises) and not evaluate(
-                conclusion, model, env
-            ):
-                return model, env
+def _check_symbols(sig: Signature, f: Formula) -> None:
+    """Raise ValueError naming the first undeclared or misapplied symbol."""
+    if isinstance(f, Pred):
+        arity = sig.arity(f.name)
+        if arity is None:
+            raise ValueError(f"predicate {f.name} is not declared")
+        if arity != len(f.args):
+            raise ValueError(
+                f"predicate {f.name} has arity {arity}, "
+                f"applied to {len(f.args)} arguments"
+            )
+    if isinstance(f, (Pred, Eq)):
+        for t in f.args if isinstance(f, Pred) else (f.left, f.right):
+            if isinstance(t, Const) and not sig.is_constant(t.name):
+                raise ValueError(f"constant {t.name} is not declared")
+    elif isinstance(f, Not):
+        _check_symbols(sig, f.body)
+    elif isinstance(f, (And, Or, Implies, Iff)):
+        _check_symbols(sig, f.left)
+        _check_symbols(sig, f.right)
+    elif isinstance(f, (Forall, Exists)):
+        _check_symbols(sig, f.body)
+
+
+def _scan(sig, premises, conclusion, frees, depth, size, ceiling):
+    """First (model, assignment) of one size with every premise true and
+    the conclusion false, or None.
+
+    Arrays have axis i for free variable frees[i], one more axis per level
+    of quantifier nesting, and the model last.  When the free variables
+    alone would overflow the chunk budget, the leading ones are fixed one
+    assignment at a time instead, one model per chunk, which keeps the order.
+    """
+    total = _check_ceiling(sig, size, ceiling)
+    fixed = 0
+    while size ** (len(frees) - fixed) > _CHUNK_CELLS:
+        fixed += 1
+    spread = size ** (len(frees) - fixed)
+    step = 1 if fixed else _models_per_chunk(sig, size, spread * size**depth)
+    shape = (1,) * fixed + (size,) * (len(frees) - fixed)
+    for start in range(0, total, step):
+        n = min(step, total - start)
+        preds, consts = _decode(sig, size, start, n)
+        ev = _Tensors(preds, consts, n, size, len(frees) + depth + 1)
+        for prefix in product(range(size), repeat=fixed):
+            scope = {v: ev.element(e) for v, e in zip(frees, prefix)}
+            scope.update((v, i) for i, v in enumerate(frees) if i >= fixed)
+            hit = ~ev.truth(conclusion, scope, len(frees), n * spread)
+            for p in premises:
+                hit = hit & ev.truth(p, scope, len(frees), n * spread)
+            # Model first, then the assignment: C order is enumeration order.
+            hit = np.moveaxis(hit[(slice(None),) * len(frees) + (0,) * depth], -1, 0)
+            flat = np.broadcast_to(hit, (n, *shape)).ravel()
+            first = int(flat.argmax())
+            if flat[first]:
+                row, *rest = np.unravel_index(first, (n, *shape))
+                values = [*prefix, *(int(e) for e in rest[fixed:])]
+                return _model(size, preds, consts, int(row)), dict(zip(frees, values))
     return None
+
+
+class _Tensors:
+    """Truth of formulas over one decoded chunk, as boolean arrays of ndim
+    axes whose last axis is the model, so elementwise loops run over the
+    models.  A scope maps each variable in scope to the axis it varies
+    along, or to one fixed element."""
+
+    def __init__(self, preds, consts, n: int, size: int, ndim: int):
+        self.preds = preds
+        self.consts = {
+            name: v.reshape((1,) * (ndim - 1) + (n,)) for name, v in consts.items()
+        }
+        self.model = np.arange(n).reshape((1,) * (ndim - 1) + (n,))
+        self.n = n
+        self.size = size
+        self.ndim = ndim
+
+    def element(self, e: int) -> np.ndarray:
+        return np.full((1,) * self.ndim, e)
+
+    def _shape(self, axes) -> list[int]:
+        shape = [1] * self.ndim
+        for k in axes:
+            shape[k] = self.size
+        return shape
+
+    def value(self, t: Term, scope) -> np.ndarray:
+        """The elements t denotes, as an index array of ndim axes."""
+        # As in evaluate, a variable in scope shadows a constant.
+        if isinstance(t, Var) and t.name in scope:
+            where = scope[t.name]
+            if isinstance(where, int):
+                return np.arange(self.size).reshape(self._shape([where]))
+            return where
+        if t.name in self.consts:
+            return self.consts[t.name]
+        raise ValueError(f"unbound variable {t.name}")
+
+    def truth(self, f: Formula, scope, level: int, cells: int) -> np.ndarray:
+        """f over the chunk; `level` is the next unused axis and `cells` the
+        size of a full array at this level."""
+        if isinstance(f, (Verum, Falsum)):
+            return np.full((1,) * self.ndim, isinstance(f, Verum))
+        if isinstance(f, Pred):
+            ext = self.preds[f.name]
+            axes = [
+                scope.get(t.name) if isinstance(t, Var) else None for t in f.args
+            ]
+            if all(isinstance(k, int) for k in axes) and len(set(axes)) == len(axes):
+                # Distinct variables, each on its own axis: a view, no gather.
+                order = sorted(range(len(axes)), key=axes.__getitem__)
+                shape = self._shape(axes)
+                shape[-1] = self.n
+                return ext.transpose(*order, len(axes)).reshape(shape)
+            return ext[(*(self.value(t, scope) for t in f.args), self.model)]
+        if isinstance(f, Eq):
+            return self.value(f.left, scope) == self.value(f.right, scope)
+        if isinstance(f, Not):
+            return ~self.truth(f.body, scope, level, cells)
+        if isinstance(f, (And, Or, Implies, Iff)):
+            left = self.truth(f.left, scope, level, cells)
+            right = self.truth(f.right, scope, level, cells)
+            if isinstance(f, And):
+                return left & right
+            if isinstance(f, Or):
+                return left | right
+            if isinstance(f, Implies):
+                return ~left | right
+            return left == right
+        if isinstance(f, (Forall, Exists)):
+            join = np.logical_and if isinstance(f, Forall) else np.logical_or
+            wide = cells * self.size > _CHUNK_CELLS
+            if not wide:
+                inner = {**scope, f.var: level}
+                body = self.truth(f.body, inner, level + 1, cells * self.size)
+                # Slice by slice: faster than all/any along one axis.
+                parts = (
+                    body[(slice(None),) * level + (slice(e, e + 1),)]
+                    for e in range(body.shape[level])
+                )
+            else:
+                # Too wide for one more axis: one element at a time, stopping
+                # once every cell is decided.
+                parts = (
+                    self.truth(
+                        f.body, {**scope, f.var: self.element(e)}, level + 1, cells
+                    )
+                    for e in range(self.size)
+                )
+            acc = None
+            for part in parts:
+                acc = part if acc is None else join(acc, part)
+                if wide and (not acc.any() if join is np.logical_and else acc.all()):
+                    break
+            return acc
+        raise TypeError(f"not a formula: {f!r}")

@@ -478,6 +478,19 @@ def _neg(f: Formula) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
+def quantifier_depth(f: Formula) -> int:
+    """Deepest nesting of quantifiers in f."""
+    if isinstance(f, (Verum, Falsum, Pred, Eq)):
+        return 0
+    if isinstance(f, Not):
+        return quantifier_depth(f.body)
+    if isinstance(f, BINARY):
+        return max(quantifier_depth(f.left), quantifier_depth(f.right))
+    if isinstance(f, QUANTIFIERS):
+        return 1 + quantifier_depth(f.body)
+    raise TypeError(f"not a formula: {f!r}")
+
+
 def node_count(f: Formula) -> int:
     """Number of formula nodes; term nodes are not counted."""
     return sum(1 for _ in subformulas(f))

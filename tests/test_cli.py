@@ -401,3 +401,9 @@ def test_error_exits(capsys):
         ["sat", "--formula", "exists x. R(x, x)", "--sig", "pred R/2;"],
     )
     assert code == cli.EXIT_ERROR
+    deep = "(" * 300 + "R(a, a)" + ")" * 300
+    code, _, err = run(
+        capsys, ["sat", "--formula", deep, "--sig", "pred R/2; const a;"]
+    )
+    assert code == cli.EXIT_ERROR
+    assert "nested deeper than 100 levels" in err

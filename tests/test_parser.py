@@ -191,6 +191,26 @@ def test_parse_error_position():
         pytest.fail("expected ParseError")
 
 
+def test_nesting_limit():
+    sig = Signature((("R", 2),), ("a",), False)
+    atom = "R(a, a)"
+    deep = "(" * 100 + atom + ")" * 100
+    assert parse_formula(deep, sig) == Pred("R", (Const("a"), Const("a")))
+    too_deep = [
+        "(" * 101 + atom + ")" * 101,
+        "(" * 300 + atom + ")" * 300,
+        "!" * 300 + atom,
+        " -> ".join([atom] * 300),
+        " <-> ".join([atom] * 300),
+        "forall x. " + "(" * 300 + "R(x, a)" + ")" * 300,
+    ]
+    for text in too_deep:
+        with pytest.raises(ParseError, match="nested deeper than 100 levels"):
+            parse_formula(text, sig)
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse(f"sig {{ pred R/2; const a; }}\nassert {too_deep[1]};")
+
+
 def test_parse_formulas_infer():
     sig, fs = parse_formulas_infer(["R(x, c) & M1(c)", "exists y. R(y, y)"])
     assert sig == Signature((("R", 2), ("M1", 1)), ("x", "c"), False)
