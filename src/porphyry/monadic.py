@@ -1,35 +1,40 @@
 """Exact decision procedure and normal form for unary-predicate formulas.
 
 With k unary predicates and no equality, elements matter only through their
-cell: which of the k predicates they satisfy.  A model is then determined,
-up to the truth of any formula, by its support (the nonempty set of
-inhabited cells) plus a cell for each constant.  Satisfiability reduces to
-a table over all 2^(2^k) - 1 supports, evaluated here as vectorized boolean
-arrays; any satisfying support yields a witness of size <= 2^k with one
-element per inhabited cell.
+cell: which of the k predicates they satisfy, cells being numbered by binary
+counting over predicate indices (bit i set meaning predicate i holds).  A
+model is then determined, up to the truth of any formula, by its support
+(the nonempty set of inhabited cells) plus a cell for each holder: each free
+variable and constant.  Any satisfying support yields a witness of size
+<= 2^k with one element per inhabited cell.
 
-Cells are numbered by binary counting over predicate indices, bit i set
-meaning predicate i holds.  Supports are numbered by binary counting over
-cells.  The reported witness uses the first satisfying support ordered by
-(number of inhabited cells, numeric support value), with constant cell
-assignments tried in lexicographic order; this makes witnesses reproducible
-and small.
+Support s is evaluated as a cell model on {0..2^k-1}: element e stands for
+cell e if s inhabits it and for the lowest inhabited cell otherwise, which
+changes the truth of no equality-free formula.  Chunks of these models go
+through the tensor evaluator of the bounded scan, one axis per holder
+masked to the inhabited cells.  Supports are numbered by binary counting
+over cells and scanned by (number of inhabited cells, value); the reported
+witness is the first hit, holder cells tried in lexicographic order, which
+makes witnesses reproducible and small.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import lru_cache
 
 import numpy as np
 
 from .semantics import (
-    DEFAULT_CEILING,
     Countermodel,
     FiniteModel,
     Holds,
     HoldsUpTo,
-    ResourceCeilingError,
+    _CHUNK_CELLS,
+    _check_ceiling,
+    _first_hit,
+    _fixed_holders,
+    _Tensors,
     bounded_entails,
     evaluate,
     recheck,
@@ -40,8 +45,6 @@ from .syntax import (
     Falsum,
     Forall,
     Formula,
-    Iff,
-    Implies,
     Not,
     Or,
     Pred,
@@ -114,73 +117,26 @@ def _check_fragment(fs: tuple[Formula, ...], sig: Signature) -> list[str]:
     return [name for name, _ in sig.predicates if name in used]
 
 
-class _SupportTable:
-    """Boolean truth arrays indexed by support bitmask."""
-
-    def __init__(self, k: int, ceiling: int | None):
-        limit = DEFAULT_CEILING if ceiling is None else ceiling
-        self.ncells = 1 << k
-        nsupports = 1 << self.ncells
-        if nsupports > limit:
-            raise ResourceCeilingError(nsupports, limit)
-        masks = np.arange(nsupports, dtype=np.int64)
-        self.has = [(masks >> c) & 1 == 1 for c in range(self.ncells)]
-        self.nsupports = nsupports
-        popcounts = np.array([int(m).bit_count() for m in range(nsupports)])
-        self.canonical = np.lexsort((masks, popcounts))
-        self.memo: dict[tuple[Formula, tuple[tuple[str, int], ...]], np.ndarray] = {}
-
-    def truth(self, f: Formula, env: dict[str, int], pred_index: dict[str, int]):
-        key = (f, tuple(sorted(env.items())))
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        out = self._truth(f, env, pred_index)
-        self.memo[key] = out
-        return out
-
-    def _truth(self, f, env, pred_index):
-        if isinstance(f, Verum):
-            return np.ones(self.nsupports, dtype=bool)
-        if isinstance(f, Falsum):
-            return np.zeros(self.nsupports, dtype=bool)
-        if isinstance(f, Pred):
-            cell = env[f.args[0].name]
-            val = bool((cell >> pred_index[f.name]) & 1)
-            return np.full(self.nsupports, val, dtype=bool)
-        if isinstance(f, Not):
-            return ~self.truth(f.body, env, pred_index)
-        if isinstance(f, And):
-            return self.truth(f.left, env, pred_index) & self.truth(
-                f.right, env, pred_index
-            )
-        if isinstance(f, Or):
-            return self.truth(f.left, env, pred_index) | self.truth(
-                f.right, env, pred_index
-            )
-        if isinstance(f, Implies):
-            return ~self.truth(f.left, env, pred_index) | self.truth(
-                f.right, env, pred_index
-            )
-        if isinstance(f, Iff):
-            return self.truth(f.left, env, pred_index) == self.truth(
-                f.right, env, pred_index
-            )
-        if isinstance(f, Exists):
-            acc = np.zeros(self.nsupports, dtype=bool)
-            for c in range(self.ncells):
-                acc |= self.has[c] & self.truth(
-                    f.body, {**env, f.var: c}, pred_index
-                )
-            return acc
-        if isinstance(f, Forall):
-            acc = np.ones(self.nsupports, dtype=bool)
-            for c in range(self.ncells):
-                acc &= ~self.has[c] | self.truth(
-                    f.body, {**env, f.var: c}, pred_index
-                )
-            return acc
-        raise ValueError(f"not in the monadic fragment: {render(f)}")
+@lru_cache(maxsize=None)
+def _cell_models(k: int):
+    """(supports, inhabited, bits): the supports over k predicates in scan
+    order, inhabited[c, j] when support j inhabits cell c, and bits[i, e, j]
+    when predicate i holds of element e in its cell model.  Read-only, as
+    every call with the same k shares them."""
+    ncells = 1 << k
+    supports = np.arange(1, 1 << ncells, dtype=np.int64)
+    inhabited = (supports >> np.arange(ncells)[:, None]) & 1 == 1
+    order = np.argsort(inhabited.sum(axis=0), kind="stable")
+    supports, inhabited = supports[order], inhabited[:, order]
+    cell = np.where(
+        inhabited,
+        np.arange(ncells, dtype=np.uint8)[:, None],
+        inhabited.argmax(axis=0).astype(np.uint8),
+    )
+    bits = (cell >> np.arange(k, dtype=np.uint8)[:, None, None]) & 1 == 1
+    for a in (supports, inhabited, bits):
+        a.setflags(write=False)
+    return supports, inhabited, bits
 
 
 def _canonical_model(
@@ -218,43 +174,61 @@ def decide_sat(
 ) -> SatVerdict:
     """Exact satisfiability over all models, finite and infinite.
 
-    Free variables are treated as extra constants and reported in the
-    witness assignment.  With allow_equality, unary formulas with `=` are
-    decided instead by the bounded scan of semantics.bounded_entails over
-    universe sizes 1..2^k * max(1, quantifier depth); the witness is the
-    first model of f in that scan.  This path is slower and off by default.
+    The witness is the first hit of the cell-model scan over the k
+    predicates of f (see the module docstring), holders being the sorted
+    free variables, reported in the assignment, then the constants in
+    signature order; it is re-checked by evaluate.  ResourceCeilingError,
+    before any work, when the 2^(2^k) supports exceed the ceiling.
+
+    With allow_equality, unary formulas with `=` are decided instead by the
+    bounded scan of semantics.bounded_entails over universe sizes
+    1..2^k * max(1, quantifier depth); the witness is the first model of f
+    in that scan.  This path is slower and off by default.
     """
     if allow_equality and uses_equality(f):
         return _decide_sat_eq(f, sig, ceiling)
     if sig is None:
         sig = _infer_signature((f,))
     preds = _check_fragment((f,), sig)
-    pred_index = {p: i for i, p in enumerate(preds)}
-    table = _SupportTable(len(preds), ceiling)
-    holders = sorted(free_vars(f)) + [
-        c for c in sig.constants if c in constants_of(f)
-    ]
-    best: tuple[int, int, dict[str, int]] | None = None
-    for combo in product(range(table.ncells), repeat=len(holders)):
-        env = dict(zip(holders, combo))
-        sat = table.truth(f, env, pred_index).copy()
-        for c in combo:
-            sat &= table.has[c]
-        sat[0] = False
-        order = table.canonical
-        hits = order[sat[order]]
-        if len(hits) == 0:
-            continue
-        support = int(hits[0])
-        if best is None or (support.bit_count(), support) < best[:2]:
-            best = (support.bit_count(), support, env)
-    if best is None:
-        return Unsat()
-    model, assignment = _canonical_model(
-        best[1], best[2], preds, sig, pred_index
-    )
-    recheck(evaluate(f, model, dict(assignment)), "witness must satisfy f")
-    return Sat(model, assignment)
+    ncells = 1 << len(preds)
+    _check_ceiling(1 << ncells, ceiling)
+    supports, inhabited, bits = _cell_models(len(preds))
+    consts = [c for c in sig.constants if c in constants_of(f)]
+    frees = sorted(free_vars(f) - set(consts))
+    holders = frees + consts
+    depth = quantifier_depth(f)
+    ndim = len(holders) + depth + 1
+    fixed = _fixed_holders(len(holders), ncells)
+    spread = ncells ** (len(holders) - fixed)
+    step = 1 if fixed else max(1, _CHUNK_CELLS // (spread * ncells**depth))
+    for start in range(0, len(supports), step):
+        part = slice(start, start + step)
+        cells = inhabited[:, part]
+        n = cells.shape[1]
+        ext = {p: bits[i, :, part] for i, p in enumerate(preds)}
+
+        def hit_of(prefix):
+            where = [np.full((1,) * ndim, e) for e in prefix]
+            where += [
+                np.arange(ncells).reshape((1,) * i + (ncells,) + (1,) * (ndim - i - 1))
+                for i in range(fixed, len(holders))
+            ]
+            ev = _Tensors(ext, dict(zip(consts, where[len(frees):])), n, ncells, ndim)
+            scope = {v: i if i >= fixed else where[i] for i, v in enumerate(frees)}
+            hit = ev.truth(f, scope, len(holders), n * spread)
+            for w in where:
+                hit = hit & cells[w, ev.model]
+            return hit
+
+        found = _first_hit(hit_of, n, ncells, len(holders), fixed)
+        if found is not None:
+            row, values = found
+            support, names = int(supports[start + row]), dict(zip(holders, values))
+            pred_index = {p: i for i, p in enumerate(preds)}
+            model, assignment = _canonical_model(support, names, preds, sig, pred_index)
+            recheck(evaluate(f, model, dict(assignment)), "witness must satisfy f")
+            return Sat(model, assignment)
+    return Unsat()
 
 
 def _decide_sat_eq(

@@ -17,7 +17,10 @@ as possible, so `!` and `&` written before a quantifier apply to its whole
 body.  Atoms: `true`, `false`, `P(t, ...)`, bare `P` for a 0-ary predicate,
 and `t = u` when the signature declares equality.  Parentheses, quantifier
 bodies, `!` and the right operand of an arrow each open one nesting level;
-a formula nested deeper than MAX_NESTING levels is a ParseError.
+a formula nested deeper than MAX_NESTING levels is a ParseError.  So is a
+formula whose syntax tree is more than MAX_DEPTH connectives and quantifiers
+deep, such as a chain of thousands of `&`: every later walk over a formula
+recurses once per level of its tree.
 
 Definition bodies may mention symbols that are not declared (yet); ordering
 and arity discipline is the validator's job, so broken systems still parse
@@ -62,6 +65,9 @@ from .syntax import (
 # Each level costs the recursive-descent parser up to eight stack frames: a
 # formula at the limit parses in about 820, inside Python's default 1000.
 MAX_NESTING = 100
+# The walkers over a parsed formula (rename_apart, evaluate, nnf, the tensor
+# evaluator, ...) take about one stack frame per level of its tree.
+MAX_DEPTH = 500
 
 
 class ParseError(ValueError):
@@ -146,6 +152,8 @@ class _Parser:
         self.toks = tokenize(text)
         self.pos = 0
         self.depth = 0
+        # Tree depth of the formula parsed last: 0 for an atom.
+        self.height = 0
 
     # ----------------------------------------------------- token plumbing
 
@@ -282,8 +290,10 @@ class _Parser:
     ) -> list[Definition]:
         self.expect("{")
         out: list[Definition] = []
+        scope = _Scope(DefinitionSystem(sig, tuple(earlier)), strict=False)
+        known = set(sig.constants)
+        known.update(e.name for e in earlier if isinstance(e, ConstantDef))
         while not self.eat("}"):
-            system = DefinitionSystem(sig, tuple(earlier) + tuple(out))
             if self.eat("def"):
                 name = self.expect_name()
                 self.expect("(")
@@ -295,14 +305,13 @@ class _Parser:
                             raise ParseError(
                                 f"duplicate parameter {p.text}", p.line, p.col
                             )
-                        self.check_binder(p, system)
+                        self.check_binder(p, scope)
                         params.append(p.text)
                         if not self.eat(","):
                             break
                 self.expect(")")
                 self.expect(":=")
-                scope = _Scope(system, strict=False)
-                scope.bound.update(params)
+                scope.bound = set(params)
                 body = self.formula(scope)
                 self.expect(";")
                 out.append(PredicateDef(name.text, tuple(params), body))
@@ -310,11 +319,6 @@ class _Parser:
                 name = self.expect_name()
                 self.expect(":=")
                 rhs = self.expect_name()
-                known = set(sig.constants) | {
-                    e.name
-                    for e in list(earlier) + out
-                    if isinstance(e, ConstantDef)
-                }
                 if rhs.text not in known:
                     raise ParseError(
                         f"{rhs.text} is not a declared constant", rhs.line, rhs.col
@@ -324,13 +328,14 @@ class _Parser:
                 out.append(
                     ConstantDef(name.text, var, Eq(Var(var), Const(rhs.text)))
                 )
+                known.add(name.text)
             else:
                 raise self.fail("expected 'def' or 'defconst'")
+            scope.add(out[-1])
         return out
 
-    def check_binder(self, tok: Token, system: DefinitionSystem) -> None:
-        declared = system.base.names() | {e.name for e in system.entries}
-        if tok.text in declared:
+    def check_binder(self, tok: Token, scope: "_Scope") -> None:
+        if tok.text in scope.declared:
             raise ParseError(
                 f"{tok.text} shadows a declared symbol", tok.line, tok.col
             )
@@ -436,36 +441,48 @@ class _Parser:
         finally:
             self.depth -= 1
 
+    def grown(self, node: Formula, left: int = 0) -> Formula:
+        """node, built over the formula parsed last and, for a binary node,
+        a left operand of height `left`."""
+        self.height = max(self.height, left) + 1
+        if self.height > MAX_DEPTH:
+            raise self.fail(f"formula deeper than {MAX_DEPTH} levels")
+        return node
+
     def formula(self, scope: "_Scope") -> Formula:
         return self.iff(scope)
 
     def iff(self, scope: "_Scope") -> Formula:
         left = self.implies(scope)
         if self.eat("<->"):
-            return Iff(left, self.nested(self.iff, scope))
+            height = self.height
+            return self.grown(Iff(left, self.nested(self.iff, scope)), height)
         return left
 
     def implies(self, scope: "_Scope") -> Formula:
         left = self.disj(scope)
         if self.eat("->"):
-            return Implies(left, self.nested(self.implies, scope))
+            height = self.height
+            return self.grown(Implies(left, self.nested(self.implies, scope)), height)
         return left
 
     def disj(self, scope: "_Scope") -> Formula:
         left = self.conj(scope)
         while self.eat("|"):
-            left = Or(left, self.conj(scope))
+            height = self.height
+            left = self.grown(Or(left, self.conj(scope)), height)
         return left
 
     def conj(self, scope: "_Scope") -> Formula:
         left = self.unary(scope)
         while self.eat("&"):
-            left = And(left, self.unary(scope))
+            height = self.height
+            left = self.grown(And(left, self.unary(scope)), height)
         return left
 
     def unary(self, scope: "_Scope") -> Formula:
         if self.eat("!"):
-            return Not(self.nested(self.unary, scope))
+            return self.grown(Not(self.nested(self.unary, scope)))
         t = self.peek()
         if t.text in ("forall", "exists") and t.kind == "KEYWORD":
             self.advance()
@@ -474,7 +491,7 @@ class _Parser:
                 raise ParseError(
                     f"{var.text} is already bound here", var.line, var.col
                 )
-            self.check_binder(var, scope.system)
+            self.check_binder(var, scope)
             self.expect(".")
             scope.bound.add(var.text)
             try:
@@ -482,10 +499,11 @@ class _Parser:
             finally:
                 scope.bound.discard(var.text)
             cls = Forall if t.text == "forall" else Exists
-            return cls(var.text, body)
+            return self.grown(cls(var.text, body))
         return self.atom(scope)
 
     def atom(self, scope: "_Scope") -> Formula:
+        self.height = 0
         t = self.peek()
         if self.eat("("):
             inner = self.nested(self.formula, scope)
@@ -530,24 +548,30 @@ class _Scope:
     """
 
     def __init__(self, system: DefinitionSystem, strict: bool):
-        self.system = system
         self.strict = strict
         self.bound: set[str] = set()
-        # First occurrence wins, so files with clashing names still parse
-        # and the validator gets to report them.
+        # Every declared or defined name, which no binder may shadow.
+        self.declared = set(system.base.names())
         self.pred_arity: dict[str, int] = {}
         self.const_names: set[str] = set()
         for name, arity in system.base.predicates:
             self.pred_arity.setdefault(name, arity)
         self.const_names.update(system.base.constants)
         for e in system.entries:
-            if e.name in self.pred_arity or e.name in self.const_names:
-                continue
-            if isinstance(e, PredicateDef):
-                self.pred_arity[e.name] = len(e.params)
-            else:
-                self.const_names.add(e.name)
+            self.add(e)
         self.equality_ok = system.base.equality
+
+    def add(self, e: Definition) -> None:
+        """Make a definition's name resolvable.  First occurrence wins, so
+        files with clashing names still parse and the validator gets to
+        report them."""
+        self.declared.add(e.name)
+        if e.name in self.pred_arity or e.name in self.const_names:
+            return
+        if isinstance(e, PredicateDef):
+            self.pred_arity[e.name] = len(e.params)
+        else:
+            self.const_names.add(e.name)
 
     def resolve_term(self, tok: Token, p: _Parser) -> Term:
         if tok.text in self.bound:

@@ -181,7 +181,7 @@ def enumerate_models(
     """All interpretations of sig on {0..size-1}, exactly once, in index order."""
     if size < 1:
         raise ValueError("universe must be nonempty")
-    total = _check_ceiling(sig, size, ceiling)
+    total = _check_ceiling(count_models(sig, size), ceiling)
     step = _models_per_chunk(sig, size, 1)
     for start in range(0, total, step):
         n = min(step, total - start)
@@ -190,9 +190,9 @@ def enumerate_models(
             yield _model(size, preds, consts, row)
 
 
-def _check_ceiling(sig: Signature, size: int, ceiling: int | None) -> int:
+def _check_ceiling(needed: int, ceiling: int | None) -> int:
+    """needed, unless it exceeds the ceiling: ResourceCeilingError."""
     limit = DEFAULT_CEILING if ceiling is None else ceiling
-    needed = count_models(sig, size)
     if needed > limit:
         raise ResourceCeilingError(needed, limit)
     return needed
@@ -352,49 +352,72 @@ def _scan(sig, premises, conclusion, frees, depth, size, ceiling):
     the conclusion false, or None.
 
     Arrays have axis i for free variable frees[i], one more axis per level
-    of quantifier nesting, and the model last.  When the free variables
-    alone would overflow the chunk budget, the leading ones are fixed one
-    assignment at a time instead, one model per chunk, which keeps the order.
+    of quantifier nesting, and the model last.
     """
-    total = _check_ceiling(sig, size, ceiling)
-    fixed = 0
-    while size ** (len(frees) - fixed) > _CHUNK_CELLS:
-        fixed += 1
+    total = _check_ceiling(count_models(sig, size), ceiling)
+    fixed = _fixed_holders(len(frees), size)
     spread = size ** (len(frees) - fixed)
     step = 1 if fixed else _models_per_chunk(sig, size, spread * size**depth)
-    shape = (1,) * fixed + (size,) * (len(frees) - fixed)
+    ndim = len(frees) + depth + 1
     for start in range(0, total, step):
         n = min(step, total - start)
         preds, consts = _decode(sig, size, start, n)
-        ev = _Tensors(preds, consts, n, size, len(frees) + depth + 1)
-        for prefix in product(range(size), repeat=fixed):
+        shaped = {c: v.reshape((1,) * (ndim - 1) + (n,)) for c, v in consts.items()}
+        ev = _Tensors(preds, shaped, n, size, ndim)
+
+        def hit_of(prefix):
             scope = {v: ev.element(e) for v, e in zip(frees, prefix)}
             scope.update((v, i) for i, v in enumerate(frees) if i >= fixed)
             hit = ~ev.truth(conclusion, scope, len(frees), n * spread)
             for p in premises:
                 hit = hit & ev.truth(p, scope, len(frees), n * spread)
-            # Model first, then the assignment: C order is enumeration order.
-            hit = np.moveaxis(hit[(slice(None),) * len(frees) + (0,) * depth], -1, 0)
-            flat = np.broadcast_to(hit, (n, *shape)).ravel()
-            first = int(flat.argmax())
-            if flat[first]:
-                row, *rest = np.unravel_index(first, (n, *shape))
-                values = [*prefix, *(int(e) for e in rest[fixed:])]
-                return _model(size, preds, consts, int(row)), dict(zip(frees, values))
+            return hit
+
+        found = _first_hit(hit_of, n, size, len(frees), fixed)
+        if found is not None:
+            row, values = found
+            return _model(size, preds, consts, row), dict(zip(frees, values))
+    return None
+
+
+def _fixed_holders(holders: int, size: int) -> int:
+    """How many leading holders (the names an assignment gives elements) to
+    fix one assignment at a time, so that the axes of the others fit the
+    chunk budget.  A scan that fixes any takes one model per chunk."""
+    fixed = 0
+    while size ** (holders - fixed) > _CHUNK_CELLS:
+        fixed += 1
+    return fixed
+
+
+def _first_hit(hit_of, n: int, size: int, holders: int, fixed: int):
+    """First (row, holder elements) of a chunk of n models in (model, holder
+    elements lexicographic) order, or None.  hit_of(prefix) gives the hits
+    with the first `fixed` holders set to prefix (one model per chunk then)
+    and an axis for each other holder, as a _Tensors.truth array."""
+    shape = (n,) + (1,) * fixed + (size,) * (holders - fixed)
+    for prefix in product(range(size), repeat=fixed):
+        hit = hit_of(prefix)
+        hit = hit[(slice(None),) * holders + (0,) * (hit.ndim - holders - 1)]
+        flat = np.broadcast_to(np.moveaxis(hit, -1, 0), shape).ravel()
+        first = int(flat.argmax())
+        if flat[first]:
+            row, *rest = np.unravel_index(first, shape)
+            return int(row), [*prefix, *(int(e) for e in rest[fixed:])]
     return None
 
 
 class _Tensors:
-    """Truth of formulas over one decoded chunk, as boolean arrays of ndim
-    axes whose last axis is the model, so elementwise loops run over the
-    models.  A scope maps each variable in scope to the axis it varies
+    """Truth of formulas over a chunk of n models on {0..size-1}, as boolean
+    arrays of ndim axes whose last axis is the model, so elementwise loops
+    run over the models.  Each extent has one axis per argument and the
+    model last; each constant is an index array of ndim axes, shaped by the
+    caller.  A scope maps each variable in scope to the axis it varies
     along, or to one fixed element."""
 
     def __init__(self, preds, consts, n: int, size: int, ndim: int):
         self.preds = preds
-        self.consts = {
-            name: v.reshape((1,) * (ndim - 1) + (n,)) for name, v in consts.items()
-        }
+        self.consts = consts
         self.model = np.arange(n).reshape((1,) * (ndim - 1) + (n,))
         self.n = n
         self.size = size

@@ -124,26 +124,32 @@ def canonical_monadic_models(pred_names, max_size):
             )
 
 
-def random_formula(rng, preds, scope=(), max_q=2, depth=5):
-    """Random quantified boolean combination of unary atoms."""
+def random_formula(rng, preds, scope=(), max_q=2, depth=5, consts=()):
+    """Random quantified boolean combination of unary atoms, whose
+    arguments are variables in scope or the constants `consts`."""
+
+    def term(scope):
+        if consts and (not scope or rng.random() < 0.3):
+            return Const(rng.choice(consts))
+        return Var(rng.choice(scope))
 
     def leaf(scope):
-        if scope and rng.random() < 0.8:
-            return Pred(rng.choice(preds), (Var(rng.choice(scope)),))
+        if (scope or consts) and rng.random() < 0.8:
+            return Pred(rng.choice(preds), (term(scope),))
         return Verum() if rng.random() < 0.5 else Falsum()
 
     def go(budget, scope, depth):
         if depth == 0 or not preds:
             return leaf(scope)
         opts = []
-        if scope:
+        if scope or consts:
             opts += ["atom"] * 4
         if budget:
             opts += ["quant"] * 3
         opts += ["const", "not", "not", "bin", "bin", "bin"]
         kind = rng.choice(opts)
         if kind == "atom":
-            return Pred(rng.choice(preds), (Var(rng.choice(scope)),))
+            return Pred(rng.choice(preds), (term(scope),))
         if kind == "quant":
             v = f"v{len(scope)}"
             body = go(budget - 1, scope + [v], depth - 1)
@@ -156,6 +162,58 @@ def random_formula(rng, preds, scope=(), max_q=2, depth=5):
         return op(go(budget, scope, depth - 1), go(budget, scope, depth - 1))
 
     return go(max_q, list(scope), depth)
+
+
+def occurring(f, bound=frozenset()):
+    """The predicates, constants and free variables of f, as three sets."""
+    if isinstance(f, (Pred, Eq)):
+        terms = f.args if isinstance(f, Pred) else (f.left, f.right)
+        return (
+            {f.name} if isinstance(f, Pred) else set(),
+            {t.name for t in terms if isinstance(t, Const)},
+            {t.name for t in terms if isinstance(t, Var) and t.name not in bound},
+        )
+    if isinstance(f, (Forall, Exists)):
+        return occurring(f.body, bound | {f.var})
+    if isinstance(f, Not):
+        return occurring(f.body, bound)
+    if isinstance(f, (And, Or, Implies, Iff)):
+        left, right = occurring(f.left, bound), occurring(f.right, bound)
+        return tuple(a | b for a, b in zip(left, right))
+    return set(), set(), set()
+
+
+def first_cell_model(f, unary, constants):
+    """The documented canonical witness of an equality-free unary formula,
+    by brute force: (model, assignment), or None when f is unsatisfiable.
+
+    Cells over the k predicates f uses, taken in the order of `unary`, are
+    numbered so that bit i is set when the i-th of them holds.  Supports
+    (nonempty sets of cells) are tried by number of cells, then value; each
+    becomes a model with element i in its i-th lowest cell.  The holders,
+    f's sorted free variables and then its constants in the order of
+    `constants`, take elements in lexicographic order.  Constants f does not
+    use are element 0, predicates of `unary` it does not use are empty.
+    """
+    used, in_f, frees = occurring(f)
+    preds = [p for p in unary if p in used]
+    holders = sorted(frees) + [c for c in constants if c in in_f]
+    ncells = 1 << len(preds)
+    supports = sorted(range(1, 1 << ncells), key=lambda s: (bin(s).count("1"), s))
+    for s in supports:
+        cells = [c for c in range(ncells) if s >> c & 1]
+        extents = {p: frozenset() for p in unary}
+        for i, p in enumerate(preds):
+            extents[p] = frozenset((e,) for e, c in enumerate(cells) if c >> i & 1)
+        for elems in itertools.product(range(len(cells)), repeat=len(holders)):
+            value = dict(zip(holders, elems))
+            model = FiniteModel(
+                len(cells), {c: value.get(c, 0) for c in constants}, extents
+            )
+            env = {v: value[v] for v in frees}
+            if naive_eval(f, model, env):
+                return model, env
+    return None
 
 
 def random_monadic_sentence(rng, preds, max_q=2, depth=5):

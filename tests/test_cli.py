@@ -407,3 +407,11 @@ def test_error_exits(capsys):
     )
     assert code == cli.EXIT_ERROR
     assert "nested deeper than 100 levels" in err
+    chain = " & ".join(["R(a, a)"] * 3000)
+    for argv in (
+        ["sat", "--formula", chain],
+        ["entail", "--lhs", chain, "--rhs", "R(a, a)"],
+    ):
+        code, _, err = run(capsys, argv + ["--sig", "pred R/2; const a;"])
+        assert code == cli.EXIT_ERROR
+        assert "formula deeper than 500 levels" in err

@@ -1,28 +1,38 @@
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from helpers import (
     all_models,
     canonical_monadic_models,
+    first_cell_model,
     naive_eval,
     random_formula,
     random_monadic_sentence,
 )
 from porphyry import (
     And,
+    Const,
     Countermodel,
     Eq,
     Exists,
+    Falsum,
     Forall,
     Holds,
+    Iff,
+    Implies,
     Not,
+    Or,
     Pred,
     ResourceCeilingError,
     Sat,
     Signature,
     Unsat,
     Var,
+    Verum,
+    bounded_entails,
     decide_entails,
     decide_sat,
     evaluate,
@@ -110,6 +120,71 @@ def test_decide_sat_agrees_with_brute_force():
         got = isinstance(decide_sat(f, SIG), Sat)
         want = any(naive_eval(f, m) for m in pool)
         assert got == want, render(f)
+
+
+def test_decide_sat_canonical_witness():
+    # The whole witness, not just the verdict: the first support by (number
+    # of cells, value), then the first holder cells in lexicographic order.
+
+    # x and c in different cells: which one gets cell 0 shows the holder
+    # order (free variables first).
+    sigc = Signature((("M1", 1),), ("c",), False)
+    cases = [(F("!(M1(x) <-> M1(c))", sigc), ["M1"], sigc)]
+    rng = random.Random(29)
+    for _ in range(300):
+        k = rng.randint(1, 3)
+        preds = [f"M{i}" for i in range(1, k + 1)]
+        consts = rng.sample(["c", "d"], rng.randint(0, 2))
+        frees = rng.sample(["x", "y"], rng.randint(0, 2 - len(consts)))
+        sig = Signature(
+            tuple((p, 1) for p in preds) + (("R", 2),), tuple(sorted(consts)), False
+        )
+        f = random_formula(rng, preds, scope=frees, max_q=2, depth=4, consts=consts)
+        cases.append((f, preds, sig))
+    for f, preds, sig in cases:
+        want = first_cell_model(f, preds, sig.constants)
+        got = decide_sat(f, sig)
+        if want is None:
+            assert got == Unsat(), render(f)
+        else:
+            assert isinstance(got, Sat), render(f)
+            assert (got.model, got.assignment) == want, render(f)
+
+
+def unary_formulas():
+    terms = st.sampled_from([Var(v) for v in ("x", "y", "z")] + [Const("c")])
+    atoms = st.one_of(
+        st.just(Verum()),
+        st.just(Falsum()),
+        st.builds(Pred, st.sampled_from(["M1", "M2"]), st.tuples(terms)),
+    )
+    return st.recursive(
+        atoms,
+        lambda kids: st.one_of(
+            st.builds(Not, kids),
+            st.builds(And, kids, kids),
+            st.builds(Or, kids, kids),
+            st.builds(Implies, kids, kids),
+            st.builds(Iff, kids, kids),
+            st.builds(Forall, st.sampled_from(["x", "y", "z"]), kids),
+            st.builds(Exists, st.sampled_from(["x", "y", "z"]), kids),
+        ),
+        max_leaves=8,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(unary_formulas())
+def test_exact_and_bounded_engines_agree(f):
+    # Small-model property: a satisfiable formula over k unary predicates
+    # has a model of at most 2^k elements, and the smallest has as many
+    # elements as the canonical witness has inhabited cells.
+    sig = Signature((("M1", 1), ("M2", 1)), ("c",), False)
+    exact = decide_sat(f, sig)
+    scan = bounded_entails(sig, (), Not(f), 4)
+    assert isinstance(exact, Sat) == isinstance(scan, Countermodel)
+    if isinstance(exact, Sat):
+        assert exact.model.size == scan.model.size
 
 
 def test_decide_sat_deterministic():

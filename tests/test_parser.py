@@ -210,6 +210,34 @@ def test_nesting_limit():
     with pytest.raises(ParseError, match="nested deeper"):
         parse(f"sig {{ pred R/2; const a; }}\nassert {too_deep[1]};")
 
+    # Flat chains nest no parentheses but make a deep syntax tree: 500
+    # connectives deep parse, one more is a ParseError, and so is a chain of
+    # 3000 conjuncts that rename_apart used to overflow the stack on.
+    at_limit = [
+        " & ".join([atom] * 501),
+        " | ".join([atom] * 501),
+        "forall x. " + " & ".join(["R(x, a)"] * 500),
+        "!(" + " | ".join([atom] * 250) + ") & " + " & ".join([atom] * 250),
+    ]
+    for text in at_limit:
+        parse_formula(text, sig)
+    too_long = [
+        " & ".join([atom] * 502),
+        " & ".join([atom] * 3000),
+        " | ".join([atom] * 3000),
+        "forall x. " + " & ".join(["R(x, a)"] * 501),
+        "!(" + " | ".join([atom] * 250) + ") & " + " & ".join([atom] * 251),
+    ]
+    for text in too_long:
+        with pytest.raises(ParseError, match="formula deeper than 500 levels"):
+            parse_formula(text, sig)
+    with pytest.raises(ParseError, match="formula deeper"):
+        parse(f"sig {{ pred R/2; const a; }}\nassert {too_long[1]};")
+    with pytest.raises(ParseError, match="formula deeper"):
+        parse(f"defsys {{ def D(x) := {too_long[2]}; }}")
+    with pytest.raises(ParseError, match="formula deeper"):
+        parse_formulas_infer([too_long[1]])
+
 
 def test_parse_formulas_infer():
     sig, fs = parse_formulas_infer(["R(x, c) & M1(c)", "exists y. R(y, y)"])
