@@ -1,12 +1,22 @@
 """Command-line surface: file loading, subcommands, report emission.
 
+Each subcommand is declared once, by `_command` on its handler: help
+text, arguments and the properties of its JSON payload.  The argument
+parser (`build_parser`), the dispatch in `main` and the published
+schemas (`SCHEMAS`) are all derived from that one table, and the
+schemas are built from the shared pieces below.  Enumerations come
+from the modules that own them: violation kinds from `defsys`, verdict
+names from the `ClassificationVerdict` subclasses, the demo size limit
+from `magma`.
+
 Exit codes: 0 success / valid / holds; 1 a sought negative was found
 (violation, countermodel, UNSAT, not laminar, undefinable); 2 usage,
-parse, or resource errors; 3 inconclusive (bound exhausted on a query
-outside the unary fragment).
+parse, or resource errors, and input too deep for the evaluators; 3
+inconclusive (bound exhausted on a query outside the unary fragment).
 
 Every report states which entailment engine ran: `exact-monadic` answers
 are conclusive, `bounded` answers hold only up to the stated model size.
+The engine is chosen by `predicabilia._pick_engine` for every command.
 JSON output (--json) follows the schemas in SCHEMAS; emitted models and
 definition blocks are re-parseable source text.
 """
@@ -18,8 +28,10 @@ import json
 import os
 import re
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
-from .defsys import expand_model, irreducibility_warnings, validate
+from .defsys import VIOLATION_KINDS, expand_model, irreducibility_warnings, validate
 from .extensional import (
     ExtensionFamily,
     NotLaminar,
@@ -27,28 +39,18 @@ from .extensional import (
     extensions,
     reconstruct,
 )
-from .magma import demo_dsl
-from .monadic import (
-    Sat,
-    decide_entails,
-    decide_sat,
-    is_monadic,
-    monadic_normal_form,
-)
+from .magma import MAX_DEMO_SIZE, demo_dsl
+from .monadic import Sat, decide_sat, monadic_normal_form
 from .parser import ParseError, parse, parse_formula, parse_formulas_infer, parse_path
 from .predicabilia import (
+    ClassificationVerdict,
+    _pick_engine,
     classify_formula,
     generators,
     porphyry_tree,
     proximate_genus,
 )
-from .semantics import (
-    Holds,
-    HoldsUpTo,
-    ResourceCeilingError,
-    bounded_entails,
-    default_bound,
-)
+from .semantics import Holds, HoldsUpTo, ResourceCeilingError
 from .syntax import Signature, render
 
 EXIT_OK = 0
@@ -75,33 +77,144 @@ def _parse_inline_sig(text: str) -> Signature:
     return parse("sig {" + text + "}").signature
 
 
-def _verdict_json(v, sig: Signature) -> dict:
-    if isinstance(v, Holds):
-        return {"kind": "holds"}
-    if isinstance(v, HoldsUpTo):
-        return {"kind": "holds-up-to", "bound": v.bound}
-    return {
-        "kind": "countermodel",
-        "model": v.model.to_dsl("countermodel", sig),
-        "assignment": dict(v.assignment),
-    }
+# ------------------------------------------------------- schema pieces
+
+_STR = {"type": "string"}
+_BOOL = {"type": "boolean"}
+_INT = {"type": "integer"}
+_MAYBE_INT = {"type": ["integer", "null"]}
+_MAYBE_STR = {"type": ["string", "null"]}
+_MAYBE_OBJECT = {"type": ["object", "null"]}
 
 
-def _verdict_text(v, sig: Signature) -> list[str]:
-    if isinstance(v, Holds):
-        return ["verdict: holds"]
-    if isinstance(v, HoldsUpTo):
-        return [f"verdict: holds up to bound {v.bound} (not a proof)"]
-    lines = ["verdict: countermodel", v.model.to_dsl("countermodel", sig)]
+def _array(items: dict | None = None) -> dict:
+    return {"type": "array"} if items is None else {"type": "array", "items": items}
+
+
+def _object(properties: dict, required: str | None = None) -> dict:
+    """An object schema; `required` lists keys separated by spaces, and
+    every property is required when it is None."""
+    keys = list(properties) if required is None else required.split()
+    return {"type": "object", "properties": properties, "required": keys}
+
+
+_STRINGS = _array(_STR)
+_NAMED_SET = _object({"name": _STR, "elements": _array(_INT)})
+
+_VERDICT = _object(
+    {
+        "kind": {"enum": ["holds", "holds-up-to", "countermodel"]},
+        "bound": _INT,
+        "model": _STR,
+        "assignment": {"type": "object", "additionalProperties": _INT},
+    },
+    "kind",
+)
+
+_ENGINE_NAMES = {True: "exact-monadic", False: "bounded"}
+_ENGINE_FIELDS = {"engine": {"enum": list(_ENGINE_NAMES.values())}, "bound": _MAYBE_INT}
+
+
+# ------------------------------------------------------ report pieces
+
+
+def _engine(exact: bool, bound: int | None) -> tuple[dict, str]:
+    """The payload fields and the text line naming the engine that ran."""
+    name = _ENGINE_NAMES[exact]
+    line = f"engine: {name}" + (f" (bound {bound})" if bound else "")
+    return {"engine": name, "bound": bound}, line
+
+
+def _witness(v, name: str, sig: Signature) -> tuple[dict, list[str]]:
+    """A countermodel or satisfying model with its assignment."""
+    model = v.model.to_dsl(name, sig)
+    lines = [model]
     if v.assignment:
         pairs = ", ".join(f"{k} = {e}" for k, e in sorted(v.assignment.items()))
         lines.append(f"assignment: {pairs}")
-    return lines
+    return {"model": model, "assignment": dict(v.assignment)}, lines
+
+
+def _verdict(v, sig: Signature) -> tuple[dict, list[str]]:
+    if isinstance(v, Holds):
+        return {"kind": "holds"}, ["verdict: holds"]
+    if isinstance(v, HoldsUpTo):
+        text = f"verdict: holds up to bound {v.bound} (not a proof)"
+        return {"kind": "holds-up-to", "bound": v.bound}, [text]
+    witness, lines = _witness(v, "countermodel", sig)
+    return {"kind": "countermodel", **witness}, ["verdict: countermodel", *lines]
+
+
+def _named_set(name: str, elements) -> dict:
+    return {"name": name, "elements": sorted(elements)}
+
+
+# ------------------------------------------------------- command table
+
+_Handler = Callable[[argparse.Namespace, int | None], tuple[int, dict, list[str]]]
+
+
+@dataclass(frozen=True)
+class _Command:
+    help: str
+    run: _Handler
+    args: tuple[tuple[tuple[str, ...], dict], ...]
+    properties: dict
+    required: str | None
+
+
+_COMMANDS: dict[str, _Command] = {}
+
+
+def _command(name: str, help: str, args, properties: dict, required=None):
+    """Declare a subcommand: its help, its arguments as (flags, keywords)
+    pairs for `add_argument`, and its payload properties besides
+    `command` (`required` as in `_object`)."""
+
+    def register(run: _Handler) -> _Handler:
+        _COMMANDS[name] = _Command(help, run, tuple(args), properties, required)
+        return run
+
+    return register
+
+
+def _arg(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
+    return flags, kwargs
+
+
+_FILE = _arg("file")
+_SPECIES = _arg("--species", required=True)
+_FORMULA = _arg("--formula", required=True)
+_SIG = _arg("--sig", required=True)
+_MODEL = _arg("--model", required=True)
 
 
 # ------------------------------------------------------------- handlers
 
 
+@_command(
+    "check",
+    "validate a definition system",
+    [_FILE],
+    {
+        "valid": _BOOL,
+        "violations": _array(
+            _object(
+                {
+                    "entry": _INT,
+                    "kind": {"enum": list(VIOLATION_KINDS)},
+                    "symbol": _STR,
+                    "detail": _STR,
+                },
+                "entry kind symbol",
+            )
+        ),
+        "warnings": _array(),
+        "warnings_complete": _BOOL,
+        "constants": _array(),
+    },
+    "valid violations",
+)
 def _cmd_check(args, ceiling):
     pf = parse_path(args.file)
     report = validate(pf.system)
@@ -137,7 +250,6 @@ def _cmd_check(args, ceiling):
                     }
                 )
     payload = {
-        "command": "check",
         "valid": report.valid,
         "violations": violations,
         "warnings": warnings,
@@ -162,12 +274,25 @@ def _cmd_check(args, ceiling):
     return (EXIT_OK if report.valid else EXIT_FOUND), payload, text
 
 
+@_command(
+    "tree",
+    "genus-species forest",
+    [_FILE, _arg("--dot", action="store_true", help="emit DOT")],
+    {
+        "nodes": _STRINGS,
+        "edges": _array(
+            _object({"species": _STR, "genus": _STR, "difference": _STR})
+        ),
+        "roots": _STRINGS,
+        "unguarded": _STRINGS,
+        "dot": _STR,
+    },
+)
 def _cmd_tree(args, ceiling):
     pf = parse_path(args.file)
     tree, unguarded = porphyry_tree(pf.system)
     dot = tree.to_dot()
     payload = {
-        "command": "tree",
         "nodes": list(tree.nodes),
         "edges": [
             {
@@ -195,6 +320,23 @@ def _cmd_tree(args, ceiling):
     return EXIT_OK, payload, text
 
 
+@_command(
+    "classify",
+    "predication verdict",
+    [_FILE, _SPECIES, _FORMULA],
+    {
+        "species": _STR,
+        "formula": _STR,
+        "verdict": {
+            "enum": [
+                cls.__name__.lower() for cls in ClassificationVerdict.__subclasses__()
+            ]
+        },
+        **_ENGINE_FIELDS,
+        "evidence": {"type": "object", "additionalProperties": _VERDICT},
+    },
+    "species verdict engine evidence",
+)
 def _cmd_classify(args, ceiling):
     pf = parse_path(args.file)
     rho = parse_formula(args.formula, pf.signature, pf.system)
@@ -202,29 +344,35 @@ def _cmd_classify(args, ceiling):
         rho, args.species, pf.system, bound=args.bound, ceiling=ceiling
     )
     kind = type(verdict).__name__.lower()
+    engine, engine_line = _engine(verdict.exact, verdict.bound)
+    evidence = {
+        name: _verdict(v, pf.signature) for name, v in verdict.evidence.items()
+    }
     payload = {
-        "command": "classify",
         "species": args.species,
         "formula": render(rho),
         "verdict": kind,
-        "engine": "exact-monadic" if verdict.exact else "bounded",
-        "bound": verdict.bound,
-        "evidence": {
-            name: _verdict_json(v, pf.signature)
-            for name, v in verdict.evidence.items()
-        },
+        **engine,
+        "evidence": {name: report for name, (report, _) in evidence.items()},
     }
-    text = [
-        f"{args.formula} is classified for {args.species} as: {kind}",
-        f"engine: {payload['engine']}"
-        + (f" (bound {verdict.bound})" if verdict.bound else ""),
-    ]
-    for name, v in verdict.evidence.items():
+    text = [f"{args.formula} is classified for {args.species} as: {kind}", engine_line]
+    for name, (_, lines) in evidence.items():
         text.append(f"evidence {name}:")
-        text.extend("  " + line for line in _verdict_text(v, pf.signature))
+        text.extend("  " + line for line in lines)
     return EXIT_OK, payload, text
 
 
+@_command(
+    "entail",
+    "entailment query",
+    [
+        _arg("--lhs", required=True),
+        _arg("--rhs", required=True),
+        _arg("--sig", help="inline signature declarations"),
+    ],
+    {**_ENGINE_FIELDS, "verdict": _VERDICT},
+    "engine verdict",
+)
 def _cmd_entail(args, ceiling):
     if args.sig is not None:
         sig = _parse_inline_sig(args.sig)
@@ -232,60 +380,66 @@ def _cmd_entail(args, ceiling):
         rhs = parse_formula(args.rhs, sig)
     else:
         sig, (lhs, rhs) = parse_formulas_infer([args.lhs, args.rhs])
-    if is_monadic(lhs) and is_monadic(rhs):
-        verdict = decide_entails(lhs, rhs, sig, ceiling)
-        engine, bound = "exact-monadic", None
-    else:
-        bound = args.bound if args.bound is not None else default_bound(sig)
-        verdict = bounded_entails(sig, [lhs], rhs, bound, ceiling)
-        engine = "bounded"
-    payload = {
-        "command": "entail",
-        "engine": engine,
-        "bound": bound,
-        "verdict": _verdict_json(verdict, sig),
-    }
-    text = [f"engine: {engine}" + (f" (bound {bound})" if bound else "")]
-    text.extend(_verdict_text(verdict, sig))
+    eng = _pick_engine(sig, (lhs, rhs), args.bound, ceiling)
+    verdict = eng.entails(lhs, rhs)
+    engine, engine_line = _engine(eng.exact, eng.bound)
+    report, lines = _verdict(verdict, sig)
     if isinstance(verdict, Holds):
         code = EXIT_OK
     elif isinstance(verdict, HoldsUpTo):
         code = EXIT_INCONCLUSIVE
     else:
         code = EXIT_FOUND
-    return code, payload, text
+    return code, {**engine, "verdict": report}, [engine_line, *lines]
 
 
+@_command(
+    "sat",
+    "unary-fragment satisfiability",
+    [_FORMULA, _SIG],
+    {
+        "satisfiable": _BOOL,
+        "witness": {
+            "type": ["object", "null"],
+            "properties": {"model": _STR, "assignment": {"type": "object"}},
+        },
+    },
+)
 def _cmd_sat(args, ceiling):
     sig = _parse_inline_sig(args.sig)
     f = parse_formula(args.formula, sig)
     verdict = decide_sat(f, sig, ceiling)
-    if isinstance(verdict, Sat):
-        payload = {
-            "command": "sat",
-            "satisfiable": True,
-            "witness": {
-                "model": verdict.model.to_dsl("witness", sig),
-                "assignment": dict(verdict.assignment),
-            },
-        }
-        text = ["satisfiable: yes", verdict.model.to_dsl("witness", sig)]
-        if verdict.assignment:
-            pairs = ", ".join(
-                f"{k} = {e}" for k, e in sorted(verdict.assignment.items())
+    if not isinstance(verdict, Sat):
+        payload = {"satisfiable": False, "witness": None}
+        return EXIT_FOUND, payload, ["satisfiable: no"]
+    witness, lines = _witness(verdict, "witness", sig)
+    payload = {"satisfiable": True, "witness": witness}
+    return EXIT_OK, payload, ["satisfiable: yes", *lines]
+
+
+@_command(
+    "normalize",
+    "cell normal form",
+    [_FORMULA, _SIG, _arg("--var", default="x")],
+    {
+        "var": _STR,
+        "pure": _BOOL,
+        "formula": _STR,
+        "disjuncts": _array(
+            _object(
+                {
+                    "cell": _array(_object({"predicate": _STR, "positive": _BOOL})),
+                    "residue": _STR,
+                }
             )
-            text.append(f"assignment: {pairs}")
-        return EXIT_OK, payload, text
-    payload = {"command": "sat", "satisfiable": False, "witness": None}
-    return EXIT_FOUND, payload, ["satisfiable: no"]
-
-
+        ),
+    },
+)
 def _cmd_normalize(args, ceiling):
     sig = _parse_inline_sig(args.sig)
     f = parse_formula(args.formula, sig)
     form = monadic_normal_form(f, args.var, sig, ceiling)
     payload = {
-        "command": "normalize",
         "var": form.var,
         "pure": form.pure,
         "formula": render(form.to_formula()),
@@ -311,17 +465,19 @@ def _pick_model(pf, name):
     return pf.models[name]
 
 
+@_command(
+    "extensions",
+    "class extents over a model",
+    [_FILE, _MODEL],
+    {"model": _STR, "sets": _array(_NAMED_SET)},
+)
 def _cmd_extensions(args, ceiling):
     pf = parse_path(args.file)
     model = _pick_model(pf, args.model)
     family = extensions(pf.system, model)
     payload = {
-        "command": "extensions",
         "model": args.model,
-        "sets": [
-            {"name": name, "elements": sorted(elems)}
-            for name, elems in family.sets
-        ],
+        "sets": [_named_set(name, elems) for name, elems in family.sets],
     }
     text = [
         f"{name} = {{{', '.join(str(e) for e in sorted(elems))}}}"
@@ -351,24 +507,39 @@ def _parse_family(text: str, sig: Signature, model) -> ExtensionFamily:
     return ExtensionFamily(sig, model, tuple(sets))
 
 
+# Every reconstruct payload carries all of these; a result fills its own.
+_RECONSTRUCT = {
+    "result": {"enum": ["system", "not-laminar", "undefinable"]},
+    "defsys": _MAYBE_STR,
+    "names": _MAYBE_OBJECT,
+    "witness": _MAYBE_OBJECT,
+    "set": _MAYBE_STR,
+    "reason": _MAYBE_STR,
+}
+
+
+@_command(
+    "reconstruct",
+    "definitions from a laminar family",
+    [
+        _FILE,
+        _MODEL,
+        _arg("--family", required=True, help='inline family, e.g. "A={0,1}; B={0}"'),
+    ],
+    _RECONSTRUCT,
+    "result defsys names witness",
+)
 def _cmd_reconstruct(args, ceiling):
     pf = parse_path(args.file)
     model = _pick_model(pf, args.model)
     family = _parse_family(args.family, pf.signature, model)
     result = reconstruct(family)
+    payload = dict.fromkeys(_RECONSTRUCT)
     if isinstance(result, ReconstructedSystem):
         block = "defsys {\n" + "\n".join(
             "  " + e.to_dsl() for e in result.system.entries
         ) + "\n}"
-        payload = {
-            "command": "reconstruct",
-            "result": "system",
-            "defsys": block,
-            "names": dict(result.names),
-            "witness": None,
-            "set": None,
-            "reason": None,
-        }
+        payload.update(result="system", defsys=block, names=dict(result.names))
         text = [block]
         renamed = {k: v for k, v in result.names.items() if k != v}
         if renamed:
@@ -378,42 +549,31 @@ def _cmd_reconstruct(args, ceiling):
             )
         return EXIT_OK, payload, text
     if isinstance(result, NotLaminar):
-        payload = {
-            "command": "reconstruct",
-            "result": "not-laminar",
-            "defsys": None,
-            "names": None,
-            "witness": {
-                "first": {
-                    "name": result.first[0],
-                    "elements": sorted(result.first[1]),
-                },
-                "second": {
-                    "name": result.second[0],
-                    "elements": sorted(result.second[1]),
-                },
-            },
-            "set": None,
-            "reason": None,
+        witness = {
+            "first": _named_set(*result.first),
+            "second": _named_set(*result.second),
         }
+        payload.update(result="not-laminar", witness=witness)
         text = [
             "not laminar: "
             f"{result.first[0]} = {sorted(result.first[1])} overlaps "
             f"{result.second[0]} = {sorted(result.second[1])} without nesting"
         ]
         return EXIT_FOUND, payload, text
-    payload = {
-        "command": "reconstruct",
-        "result": "undefinable",
-        "defsys": None,
-        "names": None,
-        "witness": None,
-        "set": result.name,
-        "reason": result.reason,
-    }
+    payload.update(result="undefinable", set=result.name, reason=result.reason)
     return EXIT_FOUND, payload, [f"undefinable: {result.name}: {result.reason}"]
 
 
+@_command(
+    "generators",
+    "generator flags for asserted sentences",
+    [_FILE],
+    {
+        **_ENGINE_FIELDS,
+        "sentences": _array(_object({"formula": _STR, "generator": _BOOL})),
+    },
+    "engine sentences",
+)
 def _cmd_generators(args, ceiling):
     pf = parse_path(args.file)
     if not pf.asserts:
@@ -421,48 +581,78 @@ def _cmd_generators(args, ceiling):
     result = generators(
         list(pf.asserts), pf.system, bound=args.bound, ceiling=ceiling
     )
-    engine = "exact-monadic" if result.exact else "bounded"
+    engine, engine_line = _engine(result.exact, result.bound)
     payload = {
-        "command": "generators",
-        "engine": engine,
-        "bound": result.bound,
+        **engine,
         "sentences": [
             {"formula": render(s), "generator": flag}
             for s, flag in zip(result.sentences, result.generator_flags)
         ],
     }
-    text = [f"engine: {engine}" + (f" (bound {result.bound})" if result.bound else "")]
+    text = [engine_line]
     for s, flag in zip(result.sentences, result.generator_flags):
         mark = "generator" if flag else "non-generator"
         text.append(f"{mark}: {render(s)}")
     return EXIT_OK, payload, text
 
 
+@_command(
+    "demo",
+    "built-in demo data",
+    [
+        _arg("topic", choices=["magma"]),
+        _arg("--max-size", type=int, default=2, dest="max_size"),
+    ],
+    {
+        "topic": {"const": "magma"},
+        "max_size": {"type": "integer", "minimum": 1, "maximum": MAX_DEMO_SIZE},
+        "source": _STR,
+    },
+)
 def _cmd_demo(args, ceiling):
     source = demo_dsl(args.max_size)
-    payload = {
-        "command": "demo",
-        "topic": "magma",
-        "max_size": args.max_size,
-        "source": source,
-    }
+    payload = {"topic": "magma", "max_size": args.max_size, "source": source}
     return EXIT_OK, payload, [source.rstrip("\n")]
 
 
+@_command(
+    "proximate",
+    "closest containing genus",
+    [
+        _FILE,
+        _SPECIES,
+        _arg("--candidates", required=True, help="comma-separated class names"),
+    ],
+    {
+        "species": _STR,
+        "chosen": _STR,
+        "difference": _STR,
+        **_ENGINE_FIELDS,
+        "scores": _array(
+            _object(
+                {
+                    "name": _STR,
+                    "contains": _BOOL,
+                    "difference": _MAYBE_STR,
+                    "score": _MAYBE_INT,
+                }
+            )
+        ),
+    },
+    "species chosen difference scores",
+)
 def _cmd_proximate(args, ceiling):
     pf = parse_path(args.file)
     candidates = [c.strip() for c in args.candidates.split(",") if c.strip()]
     result = proximate_genus(
         args.species, candidates, pf.system, bound=args.bound, ceiling=ceiling
     )
-    engine = "exact-monadic" if result.exact else "bounded"
+    engine, engine_line = _engine(result.exact, result.bound)
     payload = {
-        "command": "proximate",
         "species": args.species,
         "chosen": result.chosen,
         "difference": render(result.difference),
-        "engine": engine,
-        "bound": result.bound,
+        **engine,
         "scores": [
             {
                 "name": s.name,
@@ -476,7 +666,7 @@ def _cmd_proximate(args, ceiling):
     text = [
         f"proximate genus of {args.species}: {result.chosen}",
         f"difference: {render(result.difference)}",
-        f"engine: {engine}" + (f" (bound {result.bound})" if result.bound else ""),
+        engine_line,
     ]
     for s in result.scores:
         if s.contains:
@@ -486,249 +676,15 @@ def _cmd_proximate(args, ceiling):
     return EXIT_OK, payload, text
 
 
-# --------------------------------------------------------------- schemas
-
-_VERDICT_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["holds", "holds-up-to", "countermodel"]},
-        "bound": {"type": "integer"},
-        "model": {"type": "string"},
-        "assignment": {
-            "type": "object",
-            "additionalProperties": {"type": "integer"},
-        },
-    },
-    "required": ["kind"],
-}
-
-_ENGINE = {"enum": ["exact-monadic", "bounded"]}
-_MAYBE_INT = {"type": ["integer", "null"]}
+# ------------------------------------------------------------ entrypoint
 
 SCHEMAS: dict[str, dict] = {
-    "check": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "check"},
-            "valid": {"type": "boolean"},
-            "violations": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "properties": {
-                        "entry": {"type": "integer"},
-                        "kind": {
-                            "enum": [
-                                "forward-reference",
-                                "self-reference",
-                                "arity-mismatch",
-                                "name-clash",
-                                "free-variable-mismatch",
-                            ]
-                        },
-                        "symbol": {"type": "string"},
-                        "detail": {"type": "string"},
-                    },
-                    "required": ["entry", "kind", "symbol"],
-                },
-            },
-            "warnings": {"type": "array"},
-            "warnings_complete": {"type": "boolean"},
-            "constants": {"type": "array"},
-        },
-        "required": ["command", "valid", "violations"],
-    },
-    "tree": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "tree"},
-            "nodes": {"type": "array", "items": {"type": "string"}},
-            "edges": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "properties": {
-                        "species": {"type": "string"},
-                        "genus": {"type": "string"},
-                        "difference": {"type": "string"},
-                    },
-                    "required": ["species", "genus", "difference"],
-                },
-            },
-            "roots": {"type": "array", "items": {"type": "string"}},
-            "unguarded": {"type": "array", "items": {"type": "string"}},
-            "dot": {"type": "string"},
-        },
-        "required": ["command", "nodes", "edges", "roots", "unguarded", "dot"],
-    },
-    "classify": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "classify"},
-            "species": {"type": "string"},
-            "formula": {"type": "string"},
-            "verdict": {
-                "enum": ["difference", "property", "accident", "unrelated"]
-            },
-            "engine": _ENGINE,
-            "bound": _MAYBE_INT,
-            "evidence": {
-                "type": "object",
-                "additionalProperties": _VERDICT_SCHEMA,
-            },
-        },
-        "required": ["command", "species", "verdict", "engine", "evidence"],
-    },
-    "entail": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "entail"},
-            "engine": _ENGINE,
-            "bound": _MAYBE_INT,
-            "verdict": _VERDICT_SCHEMA,
-        },
-        "required": ["command", "engine", "verdict"],
-    },
-    "sat": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "sat"},
-            "satisfiable": {"type": "boolean"},
-            "witness": {
-                "type": ["object", "null"],
-                "properties": {
-                    "model": {"type": "string"},
-                    "assignment": {"type": "object"},
-                },
-            },
-        },
-        "required": ["command", "satisfiable", "witness"],
-    },
-    "normalize": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "normalize"},
-            "var": {"type": "string"},
-            "pure": {"type": "boolean"},
-            "formula": {"type": "string"},
-            "disjuncts": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "properties": {
-                        "cell": {
-                            "type": "array",
-                            "items": {
-                                "type": "object",
-                                "properties": {
-                                    "predicate": {"type": "string"},
-                                    "positive": {"type": "boolean"},
-                                },
-                                "required": ["predicate", "positive"],
-                            },
-                        },
-                        "residue": {"type": "string"},
-                    },
-                    "required": ["cell", "residue"],
-                },
-            },
-        },
-        "required": ["command", "var", "pure", "formula", "disjuncts"],
-    },
-    "extensions": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "extensions"},
-            "model": {"type": "string"},
-            "sets": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "properties": {
-                        "name": {"type": "string"},
-                        "elements": {
-                            "type": "array",
-                            "items": {"type": "integer"},
-                        },
-                    },
-                    "required": ["name", "elements"],
-                },
-            },
-        },
-        "required": ["command", "model", "sets"],
-    },
-    "reconstruct": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "reconstruct"},
-            "result": {"enum": ["system", "not-laminar", "undefinable"]},
-            "defsys": {"type": ["string", "null"]},
-            "names": {"type": ["object", "null"]},
-            "witness": {"type": ["object", "null"]},
-            "set": {"type": ["string", "null"]},
-            "reason": {"type": ["string", "null"]},
-        },
-        "required": ["command", "result", "defsys", "names", "witness"],
-    },
-    "generators": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "generators"},
-            "engine": _ENGINE,
-            "bound": _MAYBE_INT,
-            "sentences": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "properties": {
-                        "formula": {"type": "string"},
-                        "generator": {"type": "boolean"},
-                    },
-                    "required": ["formula", "generator"],
-                },
-            },
-        },
-        "required": ["command", "engine", "sentences"],
-    },
-    "demo": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "demo"},
-            "topic": {"const": "magma"},
-            "max_size": {"type": "integer", "minimum": 1, "maximum": 3},
-            "source": {"type": "string"},
-        },
-        "required": ["command", "topic", "max_size", "source"],
-    },
-    "proximate": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "proximate"},
-            "species": {"type": "string"},
-            "chosen": {"type": "string"},
-            "difference": {"type": "string"},
-            "engine": _ENGINE,
-            "bound": _MAYBE_INT,
-            "scores": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "properties": {
-                        "name": {"type": "string"},
-                        "contains": {"type": "boolean"},
-                        "difference": {"type": ["string", "null"]},
-                        "score": {"type": ["integer", "null"]},
-                    },
-                    "required": ["name", "contains", "difference", "score"],
-                },
-            },
-        },
-        "required": ["command", "species", "chosen", "difference", "scores"],
-    },
+    name: _object(
+        {"command": {"const": name}, **c.properties},
+        None if c.required is None else "command " + c.required,
+    )
+    for name, c in _COMMANDS.items()
 }
-
-
-# ------------------------------------------------------------ entrypoint
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -752,77 +708,11 @@ def build_parser() -> argparse.ArgumentParser:
         "class hierarchies for first-order logic.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("check", parents=[common], help="validate a definition system")
-    sp.add_argument("file")
-
-    sp = sub.add_parser("tree", parents=[common], help="genus-species forest")
-    sp.add_argument("file")
-    sp.add_argument("--dot", action="store_true", help="emit DOT")
-
-    sp = sub.add_parser("classify", parents=[common], help="predication verdict")
-    sp.add_argument("file")
-    sp.add_argument("--species", required=True)
-    sp.add_argument("--formula", required=True)
-
-    sp = sub.add_parser("entail", parents=[common], help="entailment query")
-    sp.add_argument("--lhs", required=True)
-    sp.add_argument("--rhs", required=True)
-    sp.add_argument("--sig", help="inline signature declarations")
-
-    sp = sub.add_parser("sat", parents=[common], help="unary-fragment satisfiability")
-    sp.add_argument("--formula", required=True)
-    sp.add_argument("--sig", required=True)
-
-    sp = sub.add_parser("normalize", parents=[common], help="cell normal form")
-    sp.add_argument("--formula", required=True)
-    sp.add_argument("--sig", required=True)
-    sp.add_argument("--var", default="x")
-
-    sp = sub.add_parser("extensions", parents=[common], help="class extents over a model")
-    sp.add_argument("file")
-    sp.add_argument("--model", required=True)
-
-    sp = sub.add_parser(
-        "reconstruct", parents=[common], help="definitions from a laminar family"
-    )
-    sp.add_argument("file")
-    sp.add_argument("--model", required=True)
-    sp.add_argument(
-        "--family",
-        required=True,
-        help='inline family, e.g. "A={0,1}; B={0}"',
-    )
-
-    sp = sub.add_parser(
-        "generators", parents=[common], help="generator flags for asserted sentences"
-    )
-    sp.add_argument("file")
-
-    sp = sub.add_parser("demo", parents=[common], help="built-in demo data")
-    sp.add_argument("topic", choices=["magma"])
-    sp.add_argument("--max-size", type=int, default=2, dest="max_size")
-
-    sp = sub.add_parser("proximate", parents=[common], help="closest containing genus")
-    sp.add_argument("file")
-    sp.add_argument("--species", required=True)
-    sp.add_argument("--candidates", required=True, help="comma-separated class names")
+    for name, c in _COMMANDS.items():
+        sp = sub.add_parser(name, parents=[common], help=c.help)
+        for flags, kwargs in c.args:
+            sp.add_argument(*flags, **kwargs)
     return p
-
-
-_HANDLERS = {
-    "check": _cmd_check,
-    "tree": _cmd_tree,
-    "classify": _cmd_classify,
-    "entail": _cmd_entail,
-    "sat": _cmd_sat,
-    "normalize": _cmd_normalize,
-    "extensions": _cmd_extensions,
-    "reconstruct": _cmd_reconstruct,
-    "generators": _cmd_generators,
-    "demo": _cmd_demo,
-    "proximate": _cmd_proximate,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -835,12 +725,17 @@ def main(argv: list[str] | None = None) -> int:
         ceiling = _resolve_ceiling(args)
         if args.bound is not None and args.bound < 1:
             raise ValueError("--bound must be at least 1")
-        code, payload, text = _HANDLERS[args.command](args, ceiling)
+        code, payload, text = _COMMANDS[args.command].run(args, ceiling)
     except (ParseError, ResourceCeilingError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except RecursionError:
+        # The parser bounds each formula it reads, but unfolding stacks
+        # the depths of a definition chain, and the walkers recurse.
+        print("error: input too deep for the evaluators", file=sys.stderr)
+        return EXIT_ERROR
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps({"command": args.command, **payload}, indent=2))
     else:
         print("\n".join(text))
     return code

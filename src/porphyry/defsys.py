@@ -15,16 +15,21 @@ from typing import Union
 
 from .semantics import FiniteModel, HoldsUpTo, bounded_entails, evaluate, recheck
 from .syntax import (
+    BINARY,
+    QUANTIFIERS,
     And,
     Const,
     Eq,
     Exists,
+    Falsum,
     Formula,
     Iff,
+    Not,
     Pred,
     Signature,
     Term,
     Var,
+    Verum,
     all_names,
     big_and,
     conjuncts,
@@ -34,6 +39,7 @@ from .syntax import (
     predicates_of,
     render,
     rename_apart,
+    subformulas,
     subst,
 )
 
@@ -260,8 +266,6 @@ def validate(d: DefinitionSystem) -> ValidationReport:
 
 def _pred_uses(f: Formula) -> dict[str, set[int]]:
     uses: dict[str, set[int]] = {}
-    from .syntax import subformulas
-
     for g in subformulas(f):
         if isinstance(g, Pred):
             uses.setdefault(g.name, set()).add(len(g.args))
@@ -341,8 +345,6 @@ class _Expander:
         return self._expand_consts(g)
 
     def _expand_preds(self, g: Formula) -> Formula:
-        from .syntax import BINARY, QUANTIFIERS, Falsum, Not, Verum
-
         if isinstance(g, (Verum, Falsum, Eq)):
             return g
         if isinstance(g, Pred):
@@ -362,8 +364,6 @@ class _Expander:
         raise TypeError(f"not a formula: {g!r}")
 
     def _expand_consts(self, g: Formula) -> Formula:
-        from .syntax import BINARY, QUANTIFIERS, Falsum, Not, Verum
-
         if isinstance(g, (Verum, Falsum)):
             return g
         if isinstance(g, (Pred, Eq)):

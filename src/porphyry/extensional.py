@@ -20,6 +20,7 @@ from .defsys import (
     _require_valid,
     expand_model,
 )
+from .parser import KEYWORDS
 from .semantics import FiniteModel, recheck
 from .syntax import (
     And,
@@ -196,12 +197,6 @@ def _sanitize(name: str, taken: set[str]) -> str:
     return fresh_name(base, taken)
 
 
-_DSL_KEYWORDS = frozenset(
-    "sig defsys model assert def defconst pred const equality universe "
-    "forall exists true false".split()
-)
-
-
 def reconstruct(
     g: ExtensionFamily, m: FiniteModel | None = None
 ) -> ReconstructionResult:
@@ -253,7 +248,7 @@ def reconstruct(
                 )
 
     order = sorted(sets, key=lambda n: (-len(sets[n]), n))
-    taken = set(g.signature.names()) | set(_DSL_KEYWORDS)
+    taken = set(g.signature.names()) | KEYWORDS
     mapping: dict[str, str] = {}
     for name in order:
         mapping[name] = _sanitize(name, taken)

@@ -86,7 +86,7 @@ class Token:
     col: int
 
 
-_KEYWORDS = frozenset(
+KEYWORDS = frozenset(
     "sig defsys model assert def defconst pred const equality universe "
     "forall exists true false".split()
 )
@@ -114,7 +114,7 @@ def tokenize(text: str) -> list[Token]:
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             word = text[i:j]
-            kind = "KEYWORD" if word in _KEYWORDS else "NAME"
+            kind = "KEYWORD" if word in KEYWORDS else "NAME"
             toks.append(Token(kind, word, line, col))
             col += j - i
             i = j

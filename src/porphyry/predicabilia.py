@@ -27,6 +27,7 @@ from .syntax import (
     And,
     Formula,
     Pred,
+    Signature,
     Var,
     big_and,
     conjuncts,
@@ -138,20 +139,22 @@ def _holds(v: EntailmentVerdict) -> bool:
 
 
 def _pick_engine(
-    d: DefinitionSystem,
+    sig: Signature,
     formulas: tuple[Formula, ...],
     bound: int | None,
     ceiling: int | None,
 ) -> _Engine:
+    """The engine for entailments among `formulas`: exact-monadic when all
+    are monadic, otherwise bounded at `bound` or `default_bound(sig)`."""
     if all(is_monadic(f) for f in formulas):
         return _Engine(
-            entails=lambda p, c: decide_entails(p, c, d.base, ceiling),
+            entails=lambda p, c: decide_entails(p, c, sig, ceiling),
             exact=True,
             bound=None,
         )
-    used = bound if bound is not None else default_bound(d.base)
+    used = bound if bound is not None else default_bound(sig)
     return _Engine(
-        entails=lambda p, c: bounded_entails(d.base, [p], c, used, ceiling),
+        entails=lambda p, c: bounded_entails(sig, [p], c, used, ceiling),
         exact=False,
         bound=used,
     )
@@ -241,7 +244,7 @@ def classify_formula(
         delta_u = unfold(_align_free_var(edge.difference, param), d)
 
     pool = [rho_u, psi] + ([delta_u] if delta_u is not None else [])
-    eng = _pick_engine(d, tuple(pool), bound, ceiling)
+    eng = _pick_engine(d.base, tuple(pool), bound, ceiling)
 
     if delta_u is not None:
         r_to_d = eng.entails(rho_u, delta_u)
@@ -313,7 +316,7 @@ def proximate_genus(
     parts = conjuncts(psi)
     cand_formulas = {c: unfold(_class_formula(d, c, param), d) for c in candidates}
     eng = _pick_engine(
-        d, tuple([psi] + list(cand_formulas.values())), bound, ceiling
+        d.base, tuple([psi] + list(cand_formulas.values())), bound, ceiling
     )
 
     def subset_key(mask: int) -> tuple[int, int]:
@@ -379,7 +382,7 @@ def generators(
         if free_vars(s):
             raise ValueError(f"not a sentence: {render(s)}")
     unfolded = [unfold(s, d) for s in sentences]
-    eng = _pick_engine(d, tuple(unfolded), bound, ceiling)
+    eng = _pick_engine(d.base, tuple(unfolded), bound, ceiling)
     n = len(unfolded)
     entails = [
         [i == j or _holds(eng.entails(unfolded[i], unfolded[j])) for j in range(n)]

@@ -188,14 +188,20 @@ class Signature:
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:
-    yield f
-    if isinstance(f, Not):
-        yield from subformulas(f.body)
-    elif isinstance(f, BINARY):
-        yield from subformulas(f.left)
-        yield from subformulas(f.right)
-    elif isinstance(f, QUANTIFIERS):
-        yield from subformulas(f.body)
+    """Every subformula of f in pre-order, left operand first.
+
+    An explicit stack, not recursion: each node costs O(1) however deep
+    it sits, and no depth overflows the interpreter stack.
+    """
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        if isinstance(g, BINARY):
+            stack.append(g.right)
+            stack.append(g.left)
+        elif isinstance(g, (Not, Forall, Exists)):
+            stack.append(g.body)
 
 
 def _terms_of(f: Formula) -> Iterator[Term]:

@@ -1,7 +1,12 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
+import hypothesis.strategies as st
 import jsonschema
 import pytest
+from hypothesis import given, settings
 
 from porphyry import cli, evaluate, parse
 from porphyry.magma import demo_dsl
@@ -415,3 +420,112 @@ def test_error_exits(capsys):
         code, _, err = run(capsys, argv + ["--sig", "pred R/2; const a;"])
         assert code == cli.EXIT_ERROR
         assert "formula deeper than 500 levels" in err
+
+
+def test_too_deep_after_unfolding_exits_2(capsys, tmp_path):
+    # Each body parses, being under the parser's depth limit, but
+    # unfolding C stacks the depths of A, B and C.
+    conj = " & ".join(["P(x)"] * 449)
+    p = tmp_path / "deep.pdl"
+    p.write_text(
+        "sig { pred P/1; }\ndefsys {\n"
+        f"  def A(x) := P(x) & {conj};\n"
+        f"  def B(x) := A(x) & {conj};\n"
+        f"  def C(x) := B(x) & {conj};\n"
+        "}\nmodel m { universe 2; P = {0}; }\n"
+    )
+    for argv in (
+        ["extensions", str(p), "--model", "m"],
+        ["check", str(p)],
+        ["classify", str(p), "--species", "C", "--formula", "P(x)"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == cli.EXIT_ERROR, argv
+        assert out == ""
+        assert err == "error: input too deep for the evaluators\n"
+
+
+GRP_FILE = str(Path(__file__).resolve().parents[1] / "demos" / "grp.pdl")
+
+# Values for each argument of the command table, mostly good, some bad.
+ALL_DECLS = "pred M1/1; pred M2/1; pred Comm/1; pred R/2; const c;"
+ARG_VALUES = {
+    "file": [GRP_FILE] * 5 + ["no-such-file.pdl"],
+    "topic": ["magma"] * 5 + ["groups"],
+    "--species": ["Ab", "Grp", "Mon", "Ab", "Grp", "Mon", "Assoc", "nope"],
+    "--formula": [
+        "Comm(x)",
+        "Comm(x) & M1(x)",
+        "exists x. Comm(x) & !M1(x)",
+        "M1(x) & !M2(y)",
+        "forall x. M1(x) -> exists y. M2(y) & M1(c)",
+        "M2(x) | exists y. M1(y)",
+        "exists x. R(x, x)",
+        "R(x, x",
+    ],
+    "--lhs": [
+        "forall x. M1(x) -> M2(x)",
+        "forall x. exists y. R(x, y)",
+        "M1(x)",
+        "M1(c) & Comm(x)",
+        "(",
+    ],
+    "--rhs": [
+        "exists x. M2(x)",
+        "exists x. exists y. R(x, y)",
+        "exists x. R(x, x)",
+        "M2(c)",
+        "M1(x) | !M2(x)",
+        "x",
+    ],
+    "--sig": [ALL_DECLS] * 4 + ["pred M1/1; pred M2/1; pred Comm/1;", "pred M1/1"],
+    "--var": ["x", "y", "x", "forall"],
+    "--model": ["toy"] * 4 + ["nope"],
+    "--family": [
+        "A={0,1,2,3}; B={0,1}; C={1}",
+        "A={0,1,2}; B={1}",
+        "A={0,1}; B={1,2}",
+        "A={0}; B={0,1,2,3}",
+        "A=0",
+    ],
+    "--candidates": ["Mon,Grp", "Grp, Ab", "Mon", "Mon,nope"],
+    "--max-size": ["1", "2", "1", "2", "0"],
+    "--bound": ["1", "2", "3", "1", "2", "3", "0", "x"],
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    argv = [command]
+    for flags, kwargs in cli._COMMANDS[command].args:
+        name = flags[0]
+        optional = name.startswith("--") and not kwargs.get("required")
+        if optional and draw(st.booleans()):
+            continue
+        if kwargs.get("action") == "store_true":
+            argv.append(name)
+        elif name.startswith("--"):
+            argv += [name, draw(st.sampled_from(ARG_VALUES[name]))]
+        else:
+            argv.append(draw(st.sampled_from(ARG_VALUES[name])))
+    if draw(st.integers(0, 3)) == 0:
+        argv += ["--bound", draw(st.sampled_from(ARG_VALUES["--bound"]))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv + ["--ceiling", draw(st.sampled_from(["100000", "300", "1"]))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argvs())
+def test_argv_fuzz_exit_codes_and_schemas(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (cli.EXIT_OK, cli.EXIT_FOUND, cli.EXIT_ERROR, cli.EXIT_INCONCLUSIVE)
+    if code == cli.EXIT_ERROR:
+        assert out.getvalue() == ""
+        assert err.getvalue()
+    elif "--json" in argv:
+        payload = json.loads(out.getvalue())
+        jsonschema.validate(payload, cli.SCHEMAS[argv[0]])

@@ -1,8 +1,10 @@
+import random
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from helpers import all_models, naive_eval
+from helpers import all_models, naive_eval, random_formula
 from porphyry import (
     And,
     Const,
@@ -27,6 +29,7 @@ from porphyry import (
     rename_apart,
     subst,
 )
+from porphyry.syntax import subformulas
 
 VARS = ("x", "y", "z")
 PREDS = ("M1", "M2")
@@ -119,6 +122,36 @@ def test_big_connectives():
 def test_node_count():
     assert node_count(And(P("M1", "x"), Not(P("M2", "x")))) == 4
     assert node_count(Verum()) == 1
+
+
+def _subformulas_reference(f):
+    """The recursive pre-order walk, left operand first."""
+    if isinstance(f, (Not, Forall, Exists)):
+        return [f, *_subformulas_reference(f.body)]
+    if isinstance(f, (And, Or, Implies, Iff)):
+        return [f, *_subformulas_reference(f.left), *_subformulas_reference(f.right)]
+    return [f]
+
+
+def test_subformulas_pre_order():
+    rng = random.Random(20)
+    for _ in range(300):
+        f = random_formula(rng, ["M1", "M2"], scope=("x",), max_q=3, depth=7)
+        assert list(subformulas(f)) == _subformulas_reference(f)
+    f = Forall("x", Implies(Eq(Var("x"), Const("c")), Not(P("M1", "x"))))
+    assert [type(g).__name__ for g in subformulas(f)] == [
+        "Forall", "Implies", "Eq", "Not", "Pred"
+    ]
+
+
+def test_subformulas_deep_chain():
+    f = P("M1", "x")
+    for _ in range(5000):
+        f = And(f, P("M2", "x"))
+    walked = list(subformulas(f))
+    assert len(walked) == 10001
+    assert walked[0] is f and walked[-1] == P("M2", "x")
+    assert node_count(f) == 10001
 
 
 def test_rename_apart_duplicate_binders():
