@@ -743,3 +743,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def main_entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    main_entry()

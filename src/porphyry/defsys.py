@@ -1,19 +1,29 @@
-"""Ordered definition systems: validation, dependency structure, unfolding.
+"""Ordered definition systems: validation, dependency structure, unfolding,
+and the expansion of a model by definitions.
 
 A system extends a base signature with an ordered sequence of definitions,
 each allowed to mention only base symbols and strictly earlier definienda.
 Predicate definitions abbreviate formulas; constant definitions are definite
 descriptions (a body with one designated free variable), whose unique
 satisfaction is checked per finite model and reported, never assumed.
+
+Because each body mentions only earlier symbols, a model is expanded one
+entry at a time (`expand_model`): each body is evaluated once, as written,
+over the extents already in hand.  `unfold` instead rewrites a formula into
+base symbols, for display and for the entailment engines.  Both read an
+atom that mentions a constant which is not uniquely described as "the atom
+holds of some element the description holds of", through one rewrite,
+`_describe_atom`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Union
 
-from .semantics import FiniteModel, HoldsUpTo, bounded_entails, evaluate, recheck
+import numpy as np
+
+from .semantics import FiniteModel, HoldsUpTo, _Tensors, bounded_entails, recheck
 from .syntax import (
     BINARY,
     QUANTIFIERS,
@@ -37,6 +47,7 @@ from .syntax import (
     free_vars,
     fresh_name,
     predicates_of,
+    quantifier_depth,
     render,
     rename_apart,
     subformulas,
@@ -321,79 +332,72 @@ def dependency_graph(d: DefinitionSystem) -> DependencyGraph:
 
 # -------------------------------------------------------------- unfolding
 
+# What a constant stands for when an atom mentions it: the variable of its
+# description, the description itself, and the term of a `defconst e := t`
+# (None when the constant is read by its description).
+_Described = dict[str, tuple[str, Formula, Term | None]]
 
-class _Expander:
-    """Precomputes fully expanded bodies, innermost first in entry order."""
 
-    def __init__(self, d: DefinitionSystem):
-        self.preds: dict[str, tuple[tuple[str, ...], Formula]] = {}
-        self.consts: dict[str, tuple[str, Formula, Term | None]] = {}
-        self.used: set[str] = set(d.base.names()) | {e.name for e in d.entries}
-        for e in d.entries:
-            body = self.expand(e.body)
-            if isinstance(e, PredicateDef):
-                self.preds[e.name] = (e.params, body)
-            else:
-                term = ConstantDef(e.name, e.var, body).term_form()
-                if term is not None and isinstance(term, Var):
-                    term = None
-                self.consts[e.name] = (e.var, body, term)
+def _term(e: ConstantDef) -> Term | None:
+    """The term e is defined as, unless e has no term form or it is a
+    variable."""
+    term = e.term_form()
+    return None if isinstance(term, Var) else term
 
-    def expand(self, g: Formula) -> Formula:
-        self.used |= all_names(g)
-        g = self._expand_preds(g)
-        return self._expand_consts(g)
 
-    def _expand_preds(self, g: Formula) -> Formula:
-        if isinstance(g, (Verum, Falsum, Eq)):
-            return g
-        if isinstance(g, Pred):
-            hit = self.preds.get(g.name)
-            if hit is None:
-                return g
-            params, pbody = hit
-            inst = rename_apart(pbody, reserved=frozenset(self.used))
-            self.used |= all_names(inst)
-            return subst(inst, dict(zip(params, g.args)))
-        if isinstance(g, Not):
-            return Not(self._expand_preds(g.body))
-        if isinstance(g, BINARY):
-            return type(g)(self._expand_preds(g.left), self._expand_preds(g.right))
-        if isinstance(g, QUANTIFIERS):
-            return type(g)(g.var, self._expand_preds(g.body))
-        raise TypeError(f"not a formula: {g!r}")
-
-    def _expand_consts(self, g: Formula) -> Formula:
-        if isinstance(g, (Verum, Falsum)):
-            return g
-        if isinstance(g, (Pred, Eq)):
-            return self._expand_atom(g)
-        if isinstance(g, Not):
-            return Not(self._expand_consts(g.body))
-        if isinstance(g, BINARY):
-            return type(g)(self._expand_consts(g.left), self._expand_consts(g.right))
-        if isinstance(g, QUANTIFIERS):
-            return type(g)(g.var, self._expand_consts(g.body))
-        raise TypeError(f"not a formula: {g!r}")
-
-    def _expand_atom(self, atom: Formula) -> Formula:
-        terms = atom.args if isinstance(atom, Pred) else (atom.left, atom.right)
-        target = next(
-            (t.name for t in terms if isinstance(t, Const) and t.name in self.consts),
-            None,
+def _describe(g: Formula, described: _Described, used: set[str]) -> Formula:
+    """g with every atom rewritten by _describe_atom."""
+    if isinstance(g, (Verum, Falsum)):
+        return g
+    if isinstance(g, (Pred, Eq)):
+        return _describe_atom(g, described, used)
+    if isinstance(g, Not):
+        return Not(_describe(g.body, described, used))
+    if isinstance(g, BINARY):
+        return type(g)(
+            _describe(g.left, described, used), _describe(g.right, described, used)
         )
-        if target is None:
-            return atom
-        var, body, term = self.consts[target]
-        if term is not None:
-            return self._expand_atom(_replace_const(atom, target, term))
-        waist = fresh_name(var, self.used)
-        self.used.add(waist)
-        inst = rename_apart(body, reserved=frozenset(self.used))
-        self.used |= all_names(inst)
-        described = subst(inst, {var: Var(waist)})
-        rewritten = _replace_const(atom, target, Var(waist))
-        return Exists(waist, And(described, self._expand_atom(rewritten)))
+    if isinstance(g, QUANTIFIERS):
+        return type(g)(g.var, _describe(g.body, described, used))
+    raise TypeError(f"not a formula: {g!r}")
+
+
+def _describe_atom(
+    atom: Formula,
+    described: _Described,
+    used: set[str],
+    inner=lambda atom: atom,
+) -> Formula:
+    """The atom as written, with each constant in `described` read as some
+    element its description holds of: `D(k)` becomes
+    `exists w. desc_k(w) & D(w)`, which is `D` of the unique element when
+    there is one.  A constant with a term is replaced by it instead.  inner
+    rewrites the atom once no described constant is left in it; fresh names
+    come from, and are added to, `used`."""
+    terms = atom.args if isinstance(atom, Pred) else (atom.left, atom.right)
+    target = next(
+        (t.name for t in terms if isinstance(t, Const) and t.name in described),
+        None,
+    )
+    if target is None:
+        return inner(atom)
+    var, body, term = described[target]
+    if term is not None:
+        return _describe_atom(
+            _replace_const(atom, target, term), described, used, inner
+        )
+    waist = fresh_name(var, used)
+    used.add(waist)
+    inst = rename_apart(body, reserved=frozenset(used))
+    used |= all_names(inst)
+    rest = _replace_const(atom, target, Var(waist))
+    return Exists(
+        waist,
+        And(
+            subst(inst, {var: Var(waist)}),
+            _describe_atom(rest, described, used, inner),
+        ),
+    )
 
 
 def _replace_const(atom: Formula, name: str, t: Term) -> Formula:
@@ -405,12 +409,62 @@ def _replace_const(atom: Formula, name: str, t: Term) -> Formula:
     return Eq(rt(atom.left), rt(atom.right))
 
 
+class _Expander:
+    """Precomputes fully expanded bodies, innermost first in entry order."""
+
+    def __init__(self, d: DefinitionSystem):
+        self.preds: dict[str, tuple[tuple[str, ...], Formula]] = {}
+        self.consts: _Described = {}
+        self.used: set[str] = set(d.base.names()) | {e.name for e in d.entries}
+        for e in d.entries:
+            body = self.expand(e.body)
+            if isinstance(e, PredicateDef):
+                self.preds[e.name] = (e.params, body)
+            else:
+                term = _term(ConstantDef(e.name, e.var, body))
+                self.consts[e.name] = (e.var, body, term)
+
+    def expand(self, g: Formula) -> Formula:
+        """g over base symbols only.  A defined predicate applied to a
+        described constant is described first, at the atom as written, and
+        then expanded; the other atoms are described after every defined
+        predicate is expanded, which fixes the order fresh names are taken
+        in."""
+        self.used |= all_names(g)
+        return _describe(self._expand_preds(g), self.consts, self.used)
+
+    def _expand_preds(self, g: Formula) -> Formula:
+        if isinstance(g, (Verum, Falsum, Eq)):
+            return g
+        if isinstance(g, Pred):
+            if g.name not in self.preds:
+                return g
+            return _describe_atom(g, self.consts, self.used, self._instance)
+        if isinstance(g, Not):
+            return Not(self._expand_preds(g.body))
+        if isinstance(g, BINARY):
+            return type(g)(self._expand_preds(g.left), self._expand_preds(g.right))
+        if isinstance(g, QUANTIFIERS):
+            return type(g)(g.var, self._expand_preds(g.body))
+        raise TypeError(f"not a formula: {g!r}")
+
+    def _instance(self, atom: Pred) -> Formula:
+        params, pbody = self.preds[atom.name]
+        inst = rename_apart(pbody, reserved=frozenset(self.used))
+        self.used |= all_names(inst)
+        return subst(inst, dict(zip(params, atom.args)))
+
+
 def unfold(f: Formula, d: DefinitionSystem) -> Formula:
     """Replace every defined symbol in f by its base-signature expansion.
 
-    Definitions expand innermost first, in ascending entry order; constant
-    definitions without a term form expand by a descriptive existential,
-    equivalent whenever the description is uniquely satisfied.
+    Definitions expand innermost first, in ascending entry order.  A
+    constant `defconst e := t` is replaced by t; any other defined constant
+    is read by a descriptive existential around the atom that mentions it,
+    as written (`D(k)` becomes `exists w. desc_k(w) & D(w)` before D is
+    expanded), which is the atom of the unique element whenever the
+    description is uniquely satisfied.  This is the reading expand_model
+    gives.
     """
     _require_valid(d)
     declared = d.base.names() | {e.name for e in d.entries}
@@ -435,35 +489,79 @@ class ConstantCheck:
 def expand_model(
     d: DefinitionSystem, m: FiniteModel
 ) -> tuple[FiniteModel, tuple[ConstantCheck, ...]]:
-    """Definitional expansion of a base model.
+    """Definitional expansion of a base model, one entry at a time.
 
-    Defined predicates get the extent of their expanded bodies; defined
-    constants are added only when their description picks out exactly one
-    element, and every case is reported.
+    Each body is evaluated as written, in entry order, by the tensor
+    evaluator over the extents already in hand: the base ones and those of
+    earlier entries.  A defined predicate gets the tuples its body holds
+    of.  A defined constant gets the elements its description holds of, its
+    extent, reported in a ConstantCheck; it is added to the model only when
+    that is exactly one element.  Otherwise a later atom that mentions it
+    reads as "some element of its extent", the reading unfold gives.
+    ValueError when m leaves a base predicate or constant uninterpreted.
     """
     _require_valid(d)
-    exp = _Expander(d)
+    missing = [
+        name for name, _ in d.base.predicates if name not in m.predicates
+    ] + [c for c in d.base.constants if c not in m.constants]
+    if missing:
+        raise ValueError("model is missing base symbols: " + ", ".join(missing))
+    reserved = d.base.names() | {e.name for e in d.entries}
+    # Extents as boolean arrays, one axis per argument and a model axis of
+    # length 1, as semantics._Tensors reads them.
+    arrays = {
+        name: _extent_array(m.predicates[name], arity, m.size)
+        for name, arity in d.base.predicates
+    }
+    values = {c: m.constants[c] for c in d.base.constants}
+    described: _Described = {}
     preds = dict(m.predicates)
     consts = dict(m.constants)
     checks: list[ConstantCheck] = []
     for e in d.entries:
-        if isinstance(e, ConstantDef):
-            var, body, _ = exp.consts[e.name]
-            extent = tuple(
-                x for x in range(m.size) if evaluate(body, m, {var: x})
-            )
-            unique = len(extent) == 1
-            checks.append(ConstantCheck(e.name, extent, unique))
-            if unique:
-                consts[e.name] = extent[0]
+        holders = e.params if isinstance(e, PredicateDef) else (e.var,)
+        body = e.body
+        if described:
+            used = set(reserved | all_names(body) | set(holders))
+            body = _describe(body, described, used)
+        holds = _holds(body, holders, arrays, values, m.size)
+        if isinstance(e, PredicateDef):
+            arrays[e.name] = holds[..., None]
+            preds[e.name] = frozenset(map(tuple, np.argwhere(holds).tolist()))
+            continue
+        extent = tuple(np.flatnonzero(holds).tolist())
+        checks.append(ConstantCheck(e.name, extent, len(extent) == 1))
+        if len(extent) == 1:
+            values[e.name] = consts[e.name] = extent[0]
         else:
-            params, body = exp.preds[e.name]
-            preds[e.name] = frozenset(
-                tup
-                for tup in product(range(m.size), repeat=len(params))
-                if evaluate(body, m, dict(zip(params, tup)))
-            )
+            # Described by its extent: `k(w)` holds of each element of it.
+            arrays[e.name] = holds[:, None]
+            described[e.name] = (e.var, Pred(e.name, (Var(e.var),)), _term(e))
     return FiniteModel(m.size, consts, preds), tuple(checks)
+
+
+def _extent_array(tuples, arity: int, size: int) -> np.ndarray:
+    """An extent as booleans with a model axis of length 1; tuples of
+    another length hold of nothing, as in evaluate."""
+    arr = np.zeros((size,) * arity + (1,), dtype=bool)
+    rows = [t for t in tuples if len(t) == arity]
+    if rows:
+        cols = np.array(rows, dtype=np.intp).reshape(len(rows), arity).T
+        arr[(*cols, 0)] = True
+    return arr
+
+
+def _holds(body, holders, arrays, values, size) -> np.ndarray:
+    """Truth of body for every assignment of the holders, with one axis per
+    holder; a variable named twice takes its last axis."""
+    ndim = len(holders) + quantifier_depth(body) + 1
+    ev = _Tensors(
+        arrays, {c: np.full((1,) * ndim, v) for c, v in values.items()}, 1, size, ndim
+    )
+    scope = {v: i for i, v in enumerate(holders)}
+    truth = ev.truth(body, scope, len(holders), size ** len(holders))
+    truth = truth[(slice(None),) * len(holders) + (0,) * (ndim - len(holders))]
+    return np.broadcast_to(truth, (size,) * len(holders))
 
 
 # -------------------------------------------- structural irreducibility

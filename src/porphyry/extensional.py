@@ -17,7 +17,6 @@ from itertools import combinations
 from .defsys import (
     DefinitionSystem,
     PredicateDef,
-    _require_valid,
     expand_model,
 )
 from .parser import KEYWORDS
@@ -82,12 +81,6 @@ ReconstructionResult = ReconstructedSystem | NotLaminar | Undefinable
 
 def extensions(d: DefinitionSystem, m: FiniteModel) -> ExtensionFamily:
     """Extent of every unary defined class over m, in entry order."""
-    _require_valid(d)
-    missing = [
-        name for name, _ in d.base.predicates if name not in m.predicates
-    ] + [c for c in d.base.constants if c not in m.constants]
-    if missing:
-        raise ValueError("model is missing base symbols: " + ", ".join(missing))
     expanded, _ = expand_model(d, m)
     sets = tuple(
         (e.name, frozenset(t[0] for t in expanded.predicates[e.name]))

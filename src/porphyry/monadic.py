@@ -191,7 +191,7 @@ def decide_sat(
         sig = _infer_signature((f,))
     preds = _check_fragment((f,), sig)
     ncells = 1 << len(preds)
-    _check_ceiling(1 << ncells, ceiling)
+    _check_ceiling(ncells, ceiling)
     supports, inhabited, bits = _cell_models(len(preds))
     consts = [c for c in sig.constants if c in constants_of(f)]
     frees = sorted(free_vars(f) - set(consts))

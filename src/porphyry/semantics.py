@@ -64,15 +64,36 @@ def recheck(ok: bool, what: str) -> None:
         raise RecheckError(what)
 
 
-class ResourceCeilingError(Exception):
-    """Raised when an enumeration would exceed the configured ceiling."""
+# ResourceCeilingError keeps the count it was asked for exact up to this
+# many bits.
+_EXACT_BITS = 1 << 16
 
-    def __init__(self, needed: int, ceiling: int):
+
+class ResourceCeilingError(Exception):
+    """Raised when an enumeration would exceed the configured ceiling.
+
+    `needed` is the exact count of interpretations (or supports) asked for,
+    or None when that count has more than 2^16 bits: it is then at least
+    2^65536, and is never built.  Counts of 2^64 or more are printed as
+    powers of two.
+    """
+
+    def __init__(self, needed: int | None, ceiling: int):
         self.needed = needed
         self.ceiling = ceiling
+        wanted = f"at least 2^{_EXACT_BITS}" if needed is None else _count(needed)
         super().__init__(
-            f"enumeration needs {needed} interpretations, ceiling is {ceiling}"
+            f"enumeration needs {wanted} interpretations, "
+            f"ceiling is {_count(ceiling)}"
         )
+
+
+def _count(n: int) -> str:
+    """n in decimal below 2^64, else as a power of two."""
+    if n < 1 << 64:
+        return str(n)
+    power = f"2^{n.bit_length() - 1}"
+    return power if (n & (n - 1)) == 0 else f"more than {power}"
 
 
 @dataclass(frozen=True)
@@ -115,7 +136,12 @@ class FiniteModel:
 
 
 def evaluate(f: Formula, m: FiniteModel, env: Mapping[str, int] | None = None) -> bool:
-    """Truth of f in m under an assignment of the free variables."""
+    """Truth of f in m under an assignment of the free variables.
+
+    The plain recursive evaluator.  The library computes with the tensor
+    evaluator `_Tensors`; this one is the independent re-check of every
+    witness before it is returned.
+    """
     scope: dict[str, int] = dict(env) if env else {}
 
     def val(t: Term) -> int:
@@ -171,8 +197,12 @@ def evaluate(f: Formula, m: FiniteModel, env: Mapping[str, int] | None = None) -
 
 def count_models(sig: Signature, size: int) -> int:
     """2^(sum of size^arity) * size^(number of constants)."""
-    bits = sum(size**arity for _, arity in sig.predicates)
-    return (1 << bits) * size ** len(sig.constants)
+    return (1 << _bits(sig, size)) * size ** len(sig.constants)
+
+
+def _bits(sig: Signature, size: int) -> int:
+    """Bits of the predicate digits of an interpretation: sum of size^arity."""
+    return sum(size**arity for _, arity in sig.predicates)
 
 
 def enumerate_models(
@@ -181,7 +211,7 @@ def enumerate_models(
     """All interpretations of sig on {0..size-1}, exactly once, in index order."""
     if size < 1:
         raise ValueError("universe must be nonempty")
-    total = _check_ceiling(count_models(sig, size), ceiling)
+    total = _check_ceiling(_bits(sig, size), ceiling, size ** len(sig.constants))
     step = _models_per_chunk(sig, size, 1)
     for start in range(0, total, step):
         n = min(step, total - start)
@@ -190,18 +220,24 @@ def enumerate_models(
             yield _model(size, preds, consts, row)
 
 
-def _check_ceiling(needed: int, ceiling: int | None) -> int:
-    """needed, unless it exceeds the ceiling: ResourceCeilingError."""
+def _check_ceiling(bits: int, ceiling: int | None, times: int = 1) -> int:
+    """The count 2^bits * times, unless it exceeds the ceiling:
+    ResourceCeilingError.  The exponent is compared first, so a count far
+    past the ceiling is built only when it has at most 2^16 bits."""
     limit = DEFAULT_CEILING if ceiling is None else ceiling
-    if needed > limit:
+    if bits <= limit.bit_length():
+        needed = (1 << bits) * times
+        if needed <= limit:
+            return needed
         raise ResourceCeilingError(needed, limit)
-    return needed
+    if bits + times.bit_length() > _EXACT_BITS:
+        raise ResourceCeilingError(None, limit)
+    raise ResourceCeilingError((1 << bits) * times, limit)
 
 
 def _models_per_chunk(sig: Signature, size: int, cells: int) -> int:
     """How many models, each needing `cells` cells, fit the chunk budget."""
-    bits = sum(size**arity for _, arity in sig.predicates)
-    return max(1, _CHUNK_CELLS // max(cells, bits))
+    return max(1, _CHUNK_CELLS // max(cells, _bits(sig, size)))
 
 
 def _decode(sig: Signature, size: int, start: int, n: int):
@@ -354,7 +390,7 @@ def _scan(sig, premises, conclusion, frees, depth, size, ceiling):
     Arrays have axis i for free variable frees[i], one more axis per level
     of quantifier nesting, and the model last.
     """
-    total = _check_ceiling(count_models(sig, size), ceiling)
+    total = _check_ceiling(_bits(sig, size), ceiling, size ** len(sig.constants))
     fixed = _fixed_holders(len(frees), size)
     spread = size ** (len(frees) - fixed)
     step = 1 if fixed else _models_per_chunk(sig, size, spread * size**depth)

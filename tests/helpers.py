@@ -9,6 +9,7 @@ import itertools
 from porphyry import (
     And,
     Const,
+    ConstantDef,
     DefinitionSystem,
     Eq,
     Exists,
@@ -233,6 +234,89 @@ def random_system(rng, base_preds, n_defs, max_q=1, depth=3):
         entries.append(PredicateDef(name, ("x",), body))
         available.append(name)
     return DefinitionSystem(sig, tuple(entries))
+
+
+MIXED_SIG = Signature((("P", 1), ("Q", 1), ("R", 2), ("Z", 0)), ("c",), True)
+
+
+def random_mixed_formula(rng, preds, consts, scope, max_q=1, depth=3):
+    """Random formula over predicates of any arity (name, arity pairs) and
+    `=`, whose terms are variables in scope or the constants `consts`."""
+
+    def term(scope):
+        if consts and (not scope or rng.random() < 0.3):
+            return Const(rng.choice(consts))
+        return Var(rng.choice(scope))
+
+    def atom(scope):
+        if not scope and not consts:
+            nullary = [name for name, arity in preds if arity == 0]
+            if not nullary:
+                return Verum()
+            return Pred(rng.choice(nullary), ())
+        if rng.random() < 0.15:
+            return Eq(term(scope), term(scope))
+        name, arity = rng.choice(preds)
+        return Pred(name, tuple(term(scope) for _ in range(arity)))
+
+    def go(budget, scope, depth):
+        if depth == 0:
+            return atom(scope)
+        kinds = ["atom"] * 3 + ["not", "bin", "bin"]
+        if budget:
+            kinds += ["quant"] * 2
+        kind = rng.choice(kinds)
+        if kind == "atom":
+            return atom(scope)
+        if kind == "quant":
+            v = f"v{len(scope)}"
+            body = go(budget - 1, scope + [v], depth - 1)
+            return rng.choice([Forall, Exists])(v, body)
+        if kind == "not":
+            return Not(go(budget, scope, depth - 1))
+        op = rng.choice([And, Or, Implies, Iff])
+        return op(go(budget, scope, depth - 1), go(budget, scope, depth - 1))
+
+    return go(max_q, list(scope), depth)
+
+
+def random_mixed_system(rng, n_defs, descriptions=True):
+    """Valid-by-construction system over MIXED_SIG: predicates of arity 0-2
+    with quantified bodies, and constants defined by a term (a base or an
+    earlier constant) or, when `descriptions`, by a description, which may
+    mention earlier constants and predicates."""
+    preds = list(MIXED_SIG.predicates)
+    consts = list(MIXED_SIG.constants)
+    entries = []
+    for i in range(n_defs):
+        if rng.random() < 0.3:
+            name = f"k{i}"
+            if descriptions and rng.random() < 0.6:
+                body = random_mixed_formula(rng, preds, consts, ["y"])
+            else:
+                body = Eq(Var("y"), Const(rng.choice(consts)))
+            entries.append(ConstantDef(name, "y", body))
+            consts.append(name)
+        else:
+            name = f"D{i}"
+            params = ("x", "y")[: rng.randrange(3)]
+            body = random_mixed_formula(rng, preds, consts, list(params))
+            entries.append(PredicateDef(name, params, body))
+            preds.append((name, len(params)))
+    return DefinitionSystem(MIXED_SIG, tuple(entries))
+
+
+def random_mixed_model(rng, size):
+    """Random model of MIXED_SIG on 0..size-1."""
+    preds = {
+        name: frozenset(
+            t
+            for t in itertools.product(range(size), repeat=arity)
+            if rng.random() < 0.5
+        )
+        for name, arity in MIXED_SIG.predicates
+    }
+    return FiniteModel(size, {"c": rng.randrange(size)}, preds)
 
 
 def inject_fault(rng, d):

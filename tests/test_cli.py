@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -393,6 +396,76 @@ def test_ceiling_flag_and_env(capsys, monkeypatch):
     assert code == cli.EXIT_ERROR
 
 
+# The directory the porphyry package is imported from, for child processes.
+PACKAGE_ROOT = str(Path(cli.__file__).resolve().parents[1])
+
+# Runs the CLI on sys.argv[1:] with at most 1 GiB of address space, so that
+# a count built by mistake fails the test instead of exhausting the host.
+CAPPED_MAIN = """
+import resource, sys
+soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+cap = 1 << 30 if hard == resource.RLIM_INFINITY else min(hard, 1 << 30)
+resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+from porphyry.cli import main
+raise SystemExit(main(sys.argv[1:]))
+"""
+
+
+def run_child(*args):
+    """Run python with the given arguments and porphyry importable."""
+    env = dict(os.environ)
+    env.pop(cli.CEILING_ENV, None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p
+    )
+    r = subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+    return r.returncode, r.stdout, r.stderr
+
+
+def test_python_dash_m_runs_the_cli():
+    sig = ["--sig", "pred M/1;"]
+    for module in ("porphyry", "porphyry.cli"):
+        code, out, _ = run_child("-m", module, "sat", "--formula", "exists x. M(x)", *sig)
+        assert (code, out.splitlines()[0]) == (cli.EXIT_OK, "satisfiable: yes")
+        code, out, _ = run_child("-m", module, "sat", "--formula", "M(x) & !M(x)", *sig)
+        assert (code, out) == (cli.EXIT_FOUND, "satisfiable: no\n")
+
+
+def test_ceiling_past_the_digit_limit_exits_cleanly(capsys, tmp_path):
+    # The redundancy check over R/14 trips the ceiling at size 2, with
+    # 2^16384 interpretations: the check is skipped, not an error.
+    r14 = "R(" + ", ".join(["x"] * 14) + ")"
+    p = tmp_path / "r14.pdl"
+    p.write_text(f"sig {{ pred R/14; }}\ndefsys {{ def A(x) := {r14} & {r14}; }}\n")
+    code, out, err = run(capsys, ["check", str(p)])
+    assert (code, out, err) == (
+        cli.EXIT_OK,
+        "valid: yes\nwarning check skipped: resource ceiling\n",
+        "",
+    )
+    # 2^(2^40) supports, and 2^(2^40) interpretations of R/40 at size 2.
+    r40 = "R(" + ", ".join(["x"] * 40) + ")"
+    for argv in (
+        [
+            "sat",
+            "--formula",
+            " & ".join(f"M{i}(x)" for i in range(40)),
+            "--sig",
+            " ".join(f"pred M{i}/1;" for i in range(40)),
+        ],
+        ["entail", "--lhs", f"forall x. {r40}", "--rhs", f"exists x. {r40}",
+         "--sig", "pred R/40;"],
+    ):
+        code, out, err = run_child("-c", CAPPED_MAIN, *argv)
+        assert (code, out) == (cli.EXIT_ERROR, ""), err
+        assert err == (
+            "error: enumeration needs at least 2^65536 interpretations, "
+            "ceiling is 2000000\n"
+        )
+
+
 def test_error_exits(capsys):
     code, _, err = run(capsys, ["check", "/nonexistent.pdl"])
     assert code == cli.EXIT_ERROR
@@ -434,8 +507,10 @@ def test_too_deep_after_unfolding_exits_2(capsys, tmp_path):
         f"  def C(x) := B(x) & {conj};\n"
         "}\nmodel m { universe 2; P = {0}; }\n"
     )
+    # extensions evaluates each body as written, so it never unfolds.
+    code, out, err = run(capsys, ["extensions", str(p), "--model", "m"])
+    assert (code, out, err) == (cli.EXIT_OK, "A = {0}\nB = {0}\nC = {0}\n", "")
     for argv in (
-        ["extensions", str(p), "--model", "m"],
         ["check", str(p)],
         ["classify", str(p), "--species", "C", "--formula", "P(x)"],
     ):

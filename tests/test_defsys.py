@@ -1,6 +1,14 @@
+import itertools
+import random
+
 import pytest
 
-from helpers import all_models, naive_eval
+from helpers import (
+    all_models,
+    naive_eval,
+    random_mixed_model,
+    random_mixed_system,
+)
 from porphyry import (
     And,
     ConstantDef,
@@ -18,6 +26,7 @@ from porphyry import (
     Var,
     dependency_graph,
     expand_model,
+    extensions,
     irreducibility_warnings,
     parse,
     render,
@@ -228,6 +237,66 @@ def test_expand_model_non_unique_constant():
     assert checks[0].extent == (0, 2)
     assert not checks[0].unique
     assert "e" not in em.constants
+
+
+def test_expand_model_matches_unfolded_oracle():
+    # Each extent expand_model computes, entry by entry, is the one the
+    # unfolded body has under the oracle evaluator.
+    rng = random.Random(6)
+    for _ in range(150):
+        d = random_mixed_system(rng, rng.randrange(2, 7))
+        for size in (1, 2, 3):
+            m = random_mixed_model(rng, size)
+            em, checks = expand_model(d, m)
+            unary = {}
+            for e in d.entries:
+                if isinstance(e, PredicateDef):
+                    u = unfold(Pred(e.name, tuple(map(Var, e.params))), d)
+                    tuples = itertools.product(range(size), repeat=len(e.params))
+                    want = {
+                        t for t in tuples if naive_eval(u, m, dict(zip(e.params, t)))
+                    }
+                    assert em.predicates[e.name] == want, (d, m, e.name)
+                    if len(e.params) == 1:
+                        unary[e.name] = {t[0] for t in want}
+                    continue
+                u = unfold(Eq(Var("w"), Const(e.name)), d)
+                want = tuple(w for w in range(size) if naive_eval(u, m, {"w": w}))
+                check = next(c for c in checks if c.name == e.name)
+                assert (check.extent, check.unique) == (want, len(want) == 1)
+                assert em.constants.get(e.name) == (want[0] if check.unique else None)
+            assert dict(extensions(d, m).sets) == unary
+            assert {k: em.predicates[k] for k in m.predicates} == m.predicates
+            assert em.constants["c"] == m.constants["c"]
+
+
+def test_description_read_at_the_atom_as_written():
+    # k is not uniquely described, so D(k) is "D of some element of k's
+    # extent", not the negation of "P of some element of it".
+    sig = Signature((("P", 1), ("Q", 1)), (), False)
+    d = DefinitionSystem(
+        sig,
+        (
+            PredicateDef("D", ("x",), Not(P("P", "x"))),
+            ConstantDef("k", "y", P("Q", "y")),
+            PredicateDef("E", (), Pred("D", (Const("k"),))),
+        ),
+    )
+    u = unfold(Pred("E", ()), d)
+    assert render(u) == "exists y11. Q(y11) & !P(y11)"
+    m = FiniteModel(3, {}, {"P": frozenset({(0,)}), "Q": frozenset({(0,), (1,)})})
+    em, checks = expand_model(d, m)
+    assert checks[0].extent == (0, 1) and not checks[0].unique
+    assert em.predicates["E"] == frozenset({()}) and naive_eval(u, m)
+    assert "k" not in em.constants
+
+
+def test_expand_model_requires_every_base_symbol():
+    d = D(PredicateDef("A", ("x",), P("M1", "x")))
+    m = FiniteModel(2, {}, {"M1": frozenset({(0,)})})
+    for call in (expand_model, extensions):
+        with pytest.raises(ValueError, match="missing base symbols: M2, c"):
+            call(d, m)
 
 
 def test_dependency_graph_dot():

@@ -206,6 +206,12 @@ def test_decide_sat_ceiling():
     with pytest.raises(ResourceCeilingError) as exc:
         decide_sat(uses_all, sig5)
     assert exc.value.needed == 2 ** 32
+    # 2^(2^14) supports: past the digits Python prints, still this error.
+    uses_14 = big_and(tuple(Pred(f"P{i}", (Var("x"),)) for i in range(14)))
+    with pytest.raises(ResourceCeilingError) as exc:
+        decide_sat(uses_14)
+    assert exc.value.needed == 2 ** 2 ** 14
+    assert str(exc.value).startswith("enumeration needs 2^16384 ")
 
 
 def test_decide_sat_infers_signature():

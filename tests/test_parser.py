@@ -28,6 +28,7 @@ from porphyry import (
     render,
     validate,
 )
+from porphyry.parser import KEYWORDS
 
 SIG = Signature((("M1", 1), ("M2", 1)), ("c",), False)
 
@@ -310,3 +311,31 @@ def test_render_parse_round_trip(f):
     m = all_models(SIG.predicates, SIG.constants, 2)[13]
     env = {v: 0 for v in VARS}
     assert naive_eval(f, m, dict(env)) == naive_eval(g, m, dict(env))
+
+
+# The DSL's keywords and punctuation, some names and numbers, and layout:
+# enough to get past the tokenizer and deep into every grammar rule.
+_PIECES = sorted(KEYWORDS) + [
+    "<->", "->", ":=", "(", ")", "{", "}", ",", ";", ".", "=", "!", "&", "|",
+    "/", "M1", "M2", "R", "c", "x", "y", "0", "2", "()", "#", "\n", " ",
+]
+_SIG_EQ = Signature((("M1", 1), ("M2", 1), ("R", 2), ("Z", 0)), ("c",), True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.one_of(st.sampled_from(_PIECES), st.text(max_size=3)), max_size=40),
+    st.sampled_from(["", " "]),
+)
+def test_parsers_raise_only_parse_error(pieces, sep):
+    text = sep.join(pieces)
+    for call in (
+        lambda: parse(text),
+        lambda: parse_formula(text, _SIG_EQ),
+        lambda: parse_formula(text, SIG),
+        lambda: parse_formulas_infer(text.split(";")),
+    ):
+        try:
+            call()
+        except ParseError:
+            pass

@@ -28,6 +28,7 @@ from porphyry import (
     Not,
     Or,
     Pred,
+    DEFAULT_CEILING,
     ResourceCeilingError,
     Signature,
     Var,
@@ -94,6 +95,32 @@ def test_enumerate_ceiling():
     with pytest.raises(ResourceCeilingError) as exc:
         list(enumerate_models(SIGR, 3, ceiling=100))
     assert exc.value.needed > exc.value.ceiling == 100
+
+
+def test_ceiling_past_the_digit_limit():
+    # 2^16384 has more digits than Python prints by default: the error
+    # must still be a ResourceCeilingError, and say the count in powers of 2.
+    sig = Signature((("R", 14),), (), False)
+    r = Pred("R", (Var("x"),) * 14)
+    for call in (
+        lambda: bounded_entails(sig, [], Implies(r, r)),
+        lambda: list(enumerate_models(sig, 2)),
+    ):
+        with pytest.raises(ResourceCeilingError) as exc:
+            call()
+        assert (exc.value.needed, exc.value.ceiling) == (2**16384, DEFAULT_CEILING)
+        assert str(exc.value) == (
+            "enumeration needs 2^16384 interpretations, ceiling is 2000000"
+        )
+    # Past 2^16 bits the count is not built at all.
+    wide = Signature((("R", 17),), (), False)
+    with pytest.raises(ResourceCeilingError) as exc:
+        next(enumerate_models(wide, 2))
+    assert exc.value.needed is None
+    assert "needs at least 2^65536 interpretations" in str(exc.value)
+    assert str(ResourceCeilingError(3 << 64, 1 << 70)) == (
+        "enumeration needs more than 2^65 interpretations, ceiling is 2^70"
+    )
 
 
 def test_enumerate_past_int64():
