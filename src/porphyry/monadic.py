@@ -8,14 +8,21 @@ model is then determined, up to the truth of any formula, by its support
 variable and constant.  Any satisfying support yields a witness of size
 <= 2^k with one element per inhabited cell.
 
-Support s is evaluated as a cell model on {0..2^k-1}: element e stands for
-cell e if s inhabits it and for the lowest inhabited cell otherwise, which
-changes the truth of no equality-free formula.  Chunks of these models go
-through the tensor evaluator of the bounded scan, one axis per holder
-masked to the inhabited cells.  Supports are numbered by binary counting
-over cells and scanned by (number of inhabited cells, value); the reported
-witness is the first hit, holder cells tried in lexicographic order, which
-makes witnesses reproducible and small.
+Support s is evaluated as a cell model whose elements are its inhabited
+cells.  Element e is always cell e, so predicate i holds of e exactly when
+bit i of e is set, in every support: the extents are one boolean array of
+2^k elements shared by all supports.  What varies is the domain, s itself
+as a bitmask of cells, and quantifiers range over it.  Chunks of supports
+go through the tensor evaluator of the bounded scan with their bitmasks as
+its domain.  A quantified body that is the same for every support packs
+into one bitmask of the cells it holds of, so each support is tested with
+one integer operation (exists: s & mask != 0; forall: s & ~mask == 0); a
+body that differs between supports is masked to the inhabited cells
+first.  Each holder has its own axis, masked to the inhabited cells.
+Supports are numbered by binary counting over cells and scanned by (number
+of inhabited cells, value); the reported witness is the first hit, holder
+cells tried in lexicographic order, which makes witnesses reproducible and
+small.
 """
 
 from __future__ import annotations
@@ -41,6 +48,8 @@ from .semantics import (
 )
 from .syntax import (
     And,
+    Const,
+    Eq,
     Exists,
     Falsum,
     Forall,
@@ -60,19 +69,30 @@ from .syntax import (
     quantifier_depth,
     rename_apart,
     render,
+    subformulas,
     uses_equality,
 )
 
 
 def is_monadic(f: Formula) -> bool:
     """True iff every predicate in f is unary and equality never occurs."""
-    if uses_equality(f):
-        return False
-    try:
-        arities = predicates_of(f)
-    except ValueError:
-        return False
-    return all(a == 1 for a in arities.values())
+    return _unary_symbols(f) is not None
+
+
+def _unary_symbols(f: Formula) -> tuple[list[str], list[str]] | None:
+    """The predicates and the constants of f, each in order of first
+    occurrence, in one walk; None when equality occurs or a predicate is
+    applied to other than one argument."""
+    preds: dict[str, None] = {}
+    consts: dict[str, None] = {}
+    for g in subformulas(f):
+        if isinstance(g, Eq) or isinstance(g, Pred) and len(g.args) != 1:
+            return None
+        if isinstance(g, Pred):
+            preds[g.name] = None
+            if isinstance(g.args[0], Const):
+                consts[g.args[0].name] = None
+    return list(preds), list(consts)
 
 
 @dataclass(frozen=True)
@@ -100,43 +120,45 @@ def _infer_signature(fs: tuple[Formula, ...]) -> Signature:
     )
 
 
-def _check_fragment(fs: tuple[Formula, ...], sig: Signature) -> list[str]:
-    """Returns the predicates of fs in signature order, validating the
-    monadic preconditions along the way."""
+def _check_fragment(
+    fs: tuple[Formula, ...], sig: Signature
+) -> tuple[list[str], list[str]]:
+    """The predicates and the constants of fs, each in signature order,
+    validating the monadic preconditions along the way."""
     used: set[str] = set()
+    named: set[str] = set()
     for f in fs:
-        if not is_monadic(f):
+        symbols = _unary_symbols(f)
+        if symbols is None:
             raise ValueError(f"not in the monadic fragment: {render(f)}")
-        for name in predicates_of(f):
+        preds, consts = symbols
+        for name in preds:
             if sig.arity(name) != 1:
                 raise ValueError(f"predicate {name} not declared unary")
-            used.add(name)
-        for c in constants_of(f):
+        for c in consts:
             if not sig.is_constant(c):
                 raise ValueError(f"constant {c} not declared")
-    return [name for name, _ in sig.predicates if name in used]
+        used.update(preds)
+        named.update(consts)
+    return (
+        [name for name, _ in sig.predicates if name in used],
+        [c for c in sig.constants if c in named],
+    )
 
 
 @lru_cache(maxsize=None)
 def _cell_models(k: int):
-    """(supports, inhabited, bits): the supports over k predicates in scan
-    order, inhabited[c, j] when support j inhabits cell c, and bits[i, e, j]
-    when predicate i holds of element e in its cell model.  Read-only, as
-    every call with the same k shares them."""
+    """(supports, inhabited): the supports over k predicates in scan order,
+    as int64 cell bitmasks, and inhabited[c, j] when support j inhabits cell
+    c.  Read-only, as every call with the same k shares them."""
     ncells = 1 << k
     supports = np.arange(1, 1 << ncells, dtype=np.int64)
     inhabited = (supports >> np.arange(ncells)[:, None]) & 1 == 1
     order = np.argsort(inhabited.sum(axis=0), kind="stable")
     supports, inhabited = supports[order], inhabited[:, order]
-    cell = np.where(
-        inhabited,
-        np.arange(ncells, dtype=np.uint8)[:, None],
-        inhabited.argmax(axis=0).astype(np.uint8),
-    )
-    bits = (cell >> np.arange(k, dtype=np.uint8)[:, None, None]) & 1 == 1
-    for a in (supports, inhabited, bits):
+    for a in (supports, inhabited):
         a.setflags(write=False)
-    return supports, inhabited, bits
+    return supports, inhabited
 
 
 def _canonical_model(
@@ -175,9 +197,11 @@ def decide_sat(
     """Exact satisfiability over all models, finite and infinite.
 
     The witness is the first hit of the cell-model scan over the k
-    predicates of f (see the module docstring), holders being the sorted
-    free variables, reported in the assignment, then the constants in
-    signature order; it is re-checked by evaluate.  ResourceCeilingError,
+    predicates of f (see the module docstring): the extents are fixed, bit
+    i of element e for predicate i, and every quantifier ranges over the
+    support's inhabited cells.  Holders are the sorted free variables,
+    reported in the assignment, then the constants in signature order.
+    The witness is re-checked by evaluate.  ResourceCeilingError,
     before any work, when the 2^(2^k) supports exceed the ceiling.
 
     With allow_equality, unary formulas with `=` are decided instead by the
@@ -189,11 +213,14 @@ def decide_sat(
         return _decide_sat_eq(f, sig, ceiling)
     if sig is None:
         sig = _infer_signature((f,))
-    preds = _check_fragment((f,), sig)
+    preds, consts = _check_fragment((f,), sig)
     ncells = 1 << len(preds)
     _check_ceiling(ncells, ceiling)
-    supports, inhabited, bits = _cell_models(len(preds))
-    consts = [c for c in sig.constants if c in constants_of(f)]
+    supports, inhabited = _cell_models(len(preds))
+    # Element e is cell e in every cell model: the extents do not depend on
+    # the support, so their model axis has length 1.
+    elements = np.arange(ncells)[:, None]
+    ext = {p: (elements >> i) & 1 == 1 for i, p in enumerate(preds)}
     frees = sorted(free_vars(f) - set(consts))
     holders = frees + consts
     depth = quantifier_depth(f)
@@ -205,7 +232,6 @@ def decide_sat(
         part = slice(start, start + step)
         cells = inhabited[:, part]
         n = cells.shape[1]
-        ext = {p: bits[i, :, part] for i, p in enumerate(preds)}
 
         def hit_of(prefix):
             where = [np.full((1,) * ndim, e) for e in prefix]
@@ -213,7 +239,8 @@ def decide_sat(
                 np.arange(ncells).reshape((1,) * i + (ncells,) + (1,) * (ndim - i - 1))
                 for i in range(fixed, len(holders))
             ]
-            ev = _Tensors(ext, dict(zip(consts, where[len(frees):])), n, ncells, ndim)
+            named = dict(zip(consts, where[len(frees):]))
+            ev = _Tensors(ext, named, n, ncells, ndim, supports[part])
             scope = {v: i if i >= fixed else where[i] for i, v in enumerate(frees)}
             hit = ev.truth(f, scope, len(holders), n * spread)
             for w in where:

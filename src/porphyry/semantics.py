@@ -447,17 +447,28 @@ class _Tensors:
     """Truth of formulas over a chunk of n models on {0..size-1}, as boolean
     arrays of ndim axes whose last axis is the model, so elementwise loops
     run over the models.  Each extent has one axis per argument and the
-    model last; each constant is an index array of ndim axes, shaped by the
-    caller.  A scope maps each variable in scope to the axis it varies
-    along, or to one fixed element."""
+    model last, of length n, or 1 when every model of the chunk shares it.
+    Each constant is an index array of ndim axes, shaped by the caller.  A
+    scope maps each variable in scope to the axis it varies along, or to one
+    fixed element.
 
-    def __init__(self, preds, consts, n: int, size: int, ndim: int):
+    Quantifiers range over all of {0..size-1} unless a domain is given: the
+    universe of each model as an int64 bitmask (bit e set when element e is
+    in it), shape (n,).  Then a quantifier whose body has a model axis of
+    length 1 packs the body along its own axis into one bitmask for each
+    outer assignment and tests every universe with one integer operation;
+    any other body is first masked to each universe.
+    """
+
+    def __init__(self, preds, consts, n: int, size: int, ndim: int, domain=None):
         self.preds = preds
         self.consts = consts
         self.model = np.arange(n).reshape((1,) * (ndim - 1) + (n,))
         self.n = n
         self.size = size
         self.ndim = ndim
+        self.domain = domain
+        self._members = None
 
     def element(self, e: int) -> np.ndarray:
         return np.full((1,) * self.ndim, e)
@@ -467,6 +478,13 @@ class _Tensors:
         for k in axes:
             shape[k] = self.size
         return shape
+
+    def members(self) -> np.ndarray:
+        """(size, n) booleans: element e is in the universe of model j."""
+        if self._members is None:
+            shifts = np.arange(self.size, dtype=np.int64)[:, None]
+            self._members = (self.domain >> shifts) & 1 == 1
+        return self._members
 
     def value(self, t: Term, scope) -> np.ndarray:
         """The elements t denotes, as an index array of ndim axes."""
@@ -494,9 +512,11 @@ class _Tensors:
                 # Distinct variables, each on its own axis: a view, no gather.
                 order = sorted(range(len(axes)), key=axes.__getitem__)
                 shape = self._shape(axes)
-                shape[-1] = self.n
+                shape[-1] = ext.shape[-1]
                 return ext.transpose(*order, len(axes)).reshape(shape)
-            return ext[(*(self.value(t, scope) for t in f.args), self.model)]
+            # An extent every model shares has one column, index 0.
+            model = self.model if ext.shape[-1] == self.n else 0
+            return ext[(*(self.value(t, scope) for t in f.args), model)]
         if isinstance(f, Eq):
             return self.value(f.left, scope) == self.value(f.right, scope)
         if isinstance(f, Not):
@@ -512,11 +532,18 @@ class _Tensors:
                 return ~left | right
             return left == right
         if isinstance(f, (Forall, Exists)):
-            join = np.logical_and if isinstance(f, Forall) else np.logical_or
+            every = isinstance(f, Forall)
+            join = np.logical_and if every else np.logical_or
             wide = cells * self.size > _CHUNK_CELLS
             if not wide:
                 inner = {**scope, f.var: level}
                 body = self.truth(f.body, inner, level + 1, cells * self.size)
+                if self.domain is not None:
+                    if body.shape[-1] == 1:
+                        return self._test(body, level, every)
+                    shape = self._shape([level])
+                    shape[-1] = self.n
+                    body = _within(body, self.members().reshape(shape), every)
                 # Slice by slice: faster than all/any along one axis.
                 parts = (
                     body[(slice(None),) * level + (slice(e, e + 1),)]
@@ -531,10 +558,33 @@ class _Tensors:
                     )
                     for e in range(self.size)
                 )
+                if self.domain is not None:
+                    parts = (
+                        _within(part, self.members()[e], every)
+                        for e, part in enumerate(parts)
+                    )
             acc = None
             for part in parts:
                 acc = part if acc is None else join(acc, part)
-                if wide and (not acc.any() if join is np.logical_and else acc.all()):
+                if wide and (not acc.any() if every else acc.all()):
                     break
             return acc
         raise TypeError(f"not a formula: {f!r}")
+
+    def _test(self, body, level: int, every: bool) -> np.ndarray:
+        """The quantifier over `level` of a body every model shares: the
+        elements it holds of, packed into one bitmask per outer assignment,
+        tested against each universe."""
+        weights = np.left_shift(1, np.arange(self.size, dtype=np.int64))
+        mask = np.where(body, weights.reshape(self._shape([level])), 0)
+        mask = mask.sum(axis=level, keepdims=True)
+        domain = self.domain.reshape((1,) * (self.ndim - 1) + (self.n,))
+        if every:
+            return (domain & ~mask) == 0
+        return (domain & mask) != 0
+
+
+def _within(body: np.ndarray, inside: np.ndarray, every: bool) -> np.ndarray:
+    """body with each element outside its model's universe made neutral for
+    the quantifier: true under forall, false under exists."""
+    return body | ~inside if every else body & inside

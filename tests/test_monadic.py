@@ -12,6 +12,8 @@ from helpers import (
     random_formula,
     random_monadic_sentence,
 )
+import porphyry.monadic
+import porphyry.semantics
 from porphyry import (
     And,
     Const,
@@ -149,6 +151,55 @@ def test_decide_sat_canonical_witness():
         else:
             assert isinstance(got, Sat), render(f)
             assert (got.model, got.assignment) == want, render(f)
+
+
+def test_decide_sat_masked_scan(monkeypatch):
+    # Element e is cell e in every support, and quantifiers range over the
+    # support's inhabited cells.  A quantifier over a body that is the same
+    # for every support is one bitmask test per support; a body that reads
+    # an outer quantifier's test (the inner body below reads the outer
+    # variable) differs between supports and is masked instead.
+    sig4 = Signature(tuple((f"M{i}", 1) for i in range(1, 5)), ("c",), False)
+    preds4 = [p for p, _ in sig4.predicates]
+    texts = [
+        "(exists x. M1(x) & M2(x) & !M3(x)) & (exists x. !M1(x) & M4(x))"
+        " & forall x. M3(x) -> M4(x)",
+        # Four cells: the hit lies past the first 696 supports.
+        "(exists x. M1(x) & M2(x) & !M3(x)) & (exists x. !M1(x) & M4(x))"
+        " & (exists x. !M1(x) & M2(x) & !M4(x)) & (exists x. M1(x) & M3(x))"
+        " & forall x. M3(x) -> M4(x)",
+        "forall x. exists y. (M1(x) <-> !M1(y)) & (M2(y) -> M3(x) | M4(y))",
+        "M1(c) & !M2(x) & forall y. exists z. (M3(y) -> M4(z)) & (M2(z) <-> M1(y))",
+        "(exists x. forall y. M4(y) -> M1(x) & !M2(y)) & exists x. M2(x) & !M3(x)",
+        "(forall x. M1(x) | M2(x)) & (exists x. !M1(x) & M3(x))"
+        " & (exists x. !M2(x) & M4(x)) & exists x. M3(x) & M4(x) & !(M1(x) <-> M2(x))",
+    ]
+    # At k=4 a budget of 4096 cells splits the 65,535 supports into chunks.
+    cases = [(F(text, sig4), preds4, sig4, (None, 4096)) for text in texts]
+    # Smaller budgets also take the element-by-element path and fix holders
+    # one assignment at a time.
+    rng = random.Random(43)
+    for _ in range(40):
+        k = rng.randint(2, 3)
+        preds = [f"M{i}" for i in range(1, k + 1)]
+        consts = rng.sample(["c", "d"], rng.randint(0, 1))
+        frees = rng.sample(["x", "y"], rng.randint(0, 2 - len(consts)))
+        sig = Signature(tuple((p, 1) for p in preds), tuple(consts), False)
+        f = random_formula(rng, preds, scope=frees, max_q=3, depth=5, consts=consts)
+        cases.append((f, preds, sig, (None, 64, 8, 1)))
+    for f, preds, sig, budgets in cases:
+        want = first_cell_model(f, preds, sig.constants)
+        for cells in budgets:
+            if cells is not None:
+                monkeypatch.setattr(porphyry.semantics, "_CHUNK_CELLS", cells)
+                monkeypatch.setattr(porphyry.monadic, "_CHUNK_CELLS", cells)
+            got = decide_sat(f, sig)
+            if want is None:
+                assert got == Unsat(), (render(f), cells)
+            else:
+                assert isinstance(got, Sat), (render(f), cells)
+                assert (got.model, got.assignment) == want, (render(f), cells)
+        monkeypatch.undo()
 
 
 def unary_formulas():
