@@ -23,7 +23,7 @@ from typing import Union
 
 import numpy as np
 
-from .semantics import FiniteModel, HoldsUpTo, _Tensors, bounded_entails, recheck
+from .semantics import FiniteModel, _countermodels, _Tensors, recheck
 from .syntax import (
     BINARY,
     QUANTIFIERS,
@@ -33,7 +33,6 @@ from .syntax import (
     Exists,
     Falsum,
     Formula,
-    Iff,
     Not,
     Pred,
     Signature,
@@ -587,16 +586,24 @@ def irreducibility_warnings(
         if len(parts) < 2:
             continue
         full = exp.expand(e.body)
-        for j in range(len(parts)):
-            reduced = exp.expand(big_and(parts[:j] + parts[j + 1 :]))
-            if _same_extent(d.base, full, reduced, size_bound, ceiling):
-                warnings.append(RedundancyWarning(i, j, render(parts[j])))
+        reduced = [
+            exp.expand(big_and(parts[:j] + parts[j + 1 :])) for j in range(len(parts))
+        ]
+        # full is reduced[j] with one more conjunct, so it entails reduced[j]
+        # and the two agree on every model where reduced[j] entails full.
+        # Valid bodies have no free variables beyond their parameters, and a
+        # parameter the body ignores cannot change its truth, so scanning
+        # the free variables of full covers every assignment that matters.
+        hits = _countermodels(
+            d.base,
+            [full, *reduced],
+            [((j + 1,), 0) for j in range(len(parts))],
+            size_bound,
+            ceiling,
+        )
+        warnings += [
+            RedundancyWarning(i, j, render(parts[j]))
+            for j, hit in enumerate(hits)
+            if hit is None
+        ]
     return tuple(warnings)
-
-
-def _same_extent(sig, f, g, size_bound, ceiling) -> bool:
-    # Valid bodies have no free variables beyond their parameters, and a
-    # parameter the body ignores cannot change its truth, so scanning the
-    # free variables of f <-> g covers every assignment that matters.
-    verdict = bounded_entails(sig, (), Iff(f, g), size_bound, ceiling)
-    return isinstance(verdict, HoldsUpTo)

@@ -23,24 +23,40 @@ Supports are numbered by binary counting over cells and scanned by (number
 of inhabited cells, value); the reported witness is the first hit, holder
 cells tried in lexicographic order, which makes witnesses reproducible and
 small.
+
+One scan answers a batch of queries, each "conjunction of rows entails
+row" over a list of formulas: each chunk evaluates every row asked about
+once, over the predicates and holders of all those rows, and each open
+query takes its first hit from them.  decide_sat is the one-query case;
+generators and proximate_genus ask their entailments as one batch.
+Satisfiability does not change when predicates are added, so every
+verdict of a batch is the verdict of the query's own scan.  When the
+batch's predicates together exceed the ceiling, each query gets its own
+scan instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .semantics import (
+    DEFAULT_CEILING,
     Countermodel,
     FiniteModel,
     Holds,
     HoldsUpTo,
+    Query,
+    ResourceCeilingError,
     _CHUNK_CELLS,
+    _asked,
     _check_ceiling,
-    _first_hit,
+    _first_hits,
     _fixed_holders,
+    _recheck_hits,
     _Tensors,
     bounded_entails,
     evaluate,
@@ -54,6 +70,8 @@ from .syntax import (
     Falsum,
     Forall,
     Formula,
+    Iff,
+    Implies,
     Not,
     Or,
     Pred,
@@ -62,37 +80,64 @@ from .syntax import (
     Verum,
     big_and,
     big_or,
-    constants_of,
     free_vars,
     nnf,
     predicates_of,
     quantifier_depth,
     rename_apart,
     render,
-    subformulas,
     uses_equality,
 )
 
 
 def is_monadic(f: Formula) -> bool:
     """True iff every predicate in f is unary and equality never occurs."""
-    return _unary_symbols(f) is not None
+    return _facts(f).monadic
 
 
-def _unary_symbols(f: Formula) -> tuple[list[str], list[str]] | None:
+class _Facts(NamedTuple):
+    preds: list[str]
+    consts: list[str]
+    frees: frozenset[str]
+    depth: int
+    monadic: bool
+
+
+def _facts(f: Formula) -> _Facts:
     """The predicates and the constants of f, each in order of first
-    occurrence, in one walk; None when equality occurs or a predicate is
-    applied to other than one argument."""
+    occurrence, its free variables and its quantifier depth, in one walk
+    with an explicit stack.  monadic is False when equality occurs or a
+    predicate is applied to other than one argument."""
     preds: dict[str, None] = {}
     consts: dict[str, None] = {}
-    for g in subformulas(f):
-        if isinstance(g, Eq) or isinstance(g, Pred) and len(g.args) != 1:
-            return None
-        if isinstance(g, Pred):
-            preds[g.name] = None
-            if isinstance(g.args[0], Const):
-                consts[g.args[0].name] = None
-    return list(preds), list(consts)
+    frees: set[str] = set()
+    depth = 0
+    monadic = True
+    stack: list[tuple[Formula, frozenset[str], int]] = [(f, frozenset(), 0)]
+    while stack:
+        g, bound, level = stack.pop()
+        if isinstance(g, (Pred, Eq)):
+            if isinstance(g, Pred):
+                preds[g.name] = None
+                terms = g.args
+                monadic = monadic and len(terms) == 1
+            else:
+                terms = (g.left, g.right)
+                monadic = False
+            for t in terms:
+                if isinstance(t, Const):
+                    consts[t.name] = None
+                elif t.name not in bound:
+                    frees.add(t.name)
+        elif isinstance(g, (And, Or, Implies, Iff)):
+            stack.append((g.right, bound, level))
+            stack.append((g.left, bound, level))
+        elif isinstance(g, Not):
+            stack.append((g.body, bound, level))
+        elif isinstance(g, (Forall, Exists)):
+            depth = max(depth, level + 1)
+            stack.append((g.body, bound | {g.var}, level + 1))
+    return _Facts(list(preds), list(consts), frozenset(frees), depth, monadic)
 
 
 @dataclass(frozen=True)
@@ -113,36 +158,47 @@ def _infer_signature(fs: tuple[Formula, ...]) -> Signature:
     preds: set[str] = set()
     consts: set[str] = set()
     for f in fs:
-        preds |= set(predicates_of(f))
-        consts |= constants_of(f)
+        facts = _facts(f)
+        if not facts.monadic:
+            predicates_of(f)  # ValueError on a predicate used at two arities
+        preds.update(facts.preds)
+        consts.update(facts.consts)
     return Signature(
         tuple((p, 1) for p in sorted(preds)), tuple(sorted(consts)), False
     )
 
 
 def _check_fragment(
-    fs: tuple[Formula, ...], sig: Signature
-) -> tuple[list[str], list[str]]:
-    """The predicates and the constants of fs, each in signature order,
-    validating the monadic preconditions along the way."""
+    fs: list[Formula] | tuple[Formula, ...], sig: Signature
+) -> tuple[list[str], list[str], list[str], int]:
+    """The predicates and the constants of fs, each in signature order, the
+    sorted free variables that are not constants, and the deepest
+    quantifier nesting, validating the monadic preconditions along the
+    way."""
     used: set[str] = set()
     named: set[str] = set()
+    frees: set[str] = set()
+    depth = 0
     for f in fs:
-        symbols = _unary_symbols(f)
-        if symbols is None:
+        facts = _facts(f)
+        if not facts.monadic:
             raise ValueError(f"not in the monadic fragment: {render(f)}")
-        preds, consts = symbols
-        for name in preds:
+        for name in facts.preds:
             if sig.arity(name) != 1:
                 raise ValueError(f"predicate {name} not declared unary")
-        for c in consts:
+        for c in facts.consts:
             if not sig.is_constant(c):
                 raise ValueError(f"constant {c} not declared")
-        used.update(preds)
-        named.update(consts)
+        used.update(facts.preds)
+        named.update(facts.consts)
+        frees |= facts.frees
+        depth = max(depth, facts.depth)
+    consts = [c for c in sig.constants if c in named]
     return (
         [name for name, _ in sig.predicates if name in used],
-        [c for c in sig.constants if c in named],
+        consts,
+        sorted(frees - set(consts)),
+        depth,
     )
 
 
@@ -202,7 +258,8 @@ def decide_sat(
     support's inhabited cells.  Holders are the sorted free variables,
     reported in the assignment, then the constants in signature order.
     The witness is re-checked by evaluate.  ResourceCeilingError,
-    before any work, when the 2^(2^k) supports exceed the ceiling.
+    before any work, when the 2^(2^k) supports exceed the ceiling.  This
+    is the one-query case of `_cell_countermodels`.
 
     With allow_equality, unary formulas with `=` are decided instead by the
     bounded scan of semantics.bounded_entails over universe sizes
@@ -213,7 +270,30 @@ def decide_sat(
         return _decide_sat_eq(f, sig, ceiling)
     if sig is None:
         sig = _infer_signature((f,))
-    preds, consts = _check_fragment((f,), sig)
+    hit = _cell_countermodels([f], [((0,), None)], sig, ceiling)[0]
+    return Unsat() if hit is None else Sat(*hit)
+
+
+def _cell_countermodels(
+    rows: list[Formula], queries: list[Query], sig: Signature, ceiling: int | None
+) -> list[tuple[FiniteModel, dict[str, int]] | None]:
+    """The first hit of each query (see semantics.Query) in the cell-model
+    scan, as (model, assignment), or None when it has none: the exact
+    engine's batch.
+
+    One scan over the k predicates of the rows the queries name answers
+    every query: each chunk of supports evaluates each row once, the
+    queries still open read their hits off those rows, and the scan stops
+    once every query is decided.  Holders are the sorted free variables of
+    those rows, then their constants in signature order, so a one-query
+    scan is exactly `decide_sat`.  Each hit is re-checked by evaluate.
+    ResourceCeilingError, before any work, when the 2^(2^k) supports
+    exceed the ceiling.
+    """
+    if not queries:
+        return []
+    asked = _asked(rows, queries)
+    preds, consts, frees, depth = _check_fragment(asked, sig)
     ncells = 1 << len(preds)
     _check_ceiling(ncells, ceiling)
     supports, inhabited = _cell_models(len(preds))
@@ -221,19 +301,21 @@ def decide_sat(
     # the support, so their model axis has length 1.
     elements = np.arange(ncells)[:, None]
     ext = {p: (elements >> i) & 1 == 1 for i, p in enumerate(preds)}
-    frees = sorted(free_vars(f) - set(consts))
     holders = frees + consts
-    depth = quantifier_depth(f)
     ndim = len(holders) + depth + 1
     fixed = _fixed_holders(len(holders), ncells)
     spread = ncells ** (len(holders) - fixed)
-    step = 1 if fixed else max(1, _CHUNK_CELLS // (spread * ncells**depth))
+    # A chunk holds every row asked at once: the budget covers them as well
+    # as the deepest quantifier.
+    cells_each = spread * max(ncells**depth, len(asked))
+    step = 1 if fixed else max(1, _CHUNK_CELLS // cells_each)
+    found: dict[int, tuple[int, tuple[int, ...]]] = {}
     for start in range(0, len(supports), step):
         part = slice(start, start + step)
         cells = inhabited[:, part]
         n = cells.shape[1]
 
-        def hit_of(prefix):
+        def truths_of(prefix):
             where = [np.full((1,) * ndim, e) for e in prefix]
             where += [
                 np.arange(ncells).reshape((1,) * i + (ncells,) + (1,) * (ndim - i - 1))
@@ -242,20 +324,45 @@ def decide_sat(
             named = dict(zip(consts, where[len(frees):]))
             ev = _Tensors(ext, named, n, ncells, ndim, supports[part])
             scope = {v: i if i >= fixed else where[i] for i, v in enumerate(frees)}
-            hit = ev.truth(f, scope, len(holders), n * spread)
+            # Every holder sits in an inhabited cell.
+            guard = None
             for w in where:
-                hit = hit & cells[w, ev.model]
-            return hit
+                inside = cells[w, ev.model]
+                guard = inside if guard is None else guard & inside
+            return lambda f: ev.truth(f, scope, len(holders), n * spread), guard
 
-        found = _first_hit(hit_of, n, ncells, len(holders), fixed)
-        if found is not None:
-            row, values = found
-            support, names = int(supports[start + row]), dict(zip(holders, values))
-            pred_index = {p: i for i, p in enumerate(preds)}
-            model, assignment = _canonical_model(support, names, preds, sig, pred_index)
-            recheck(evaluate(f, model, dict(assignment)), "witness must satisfy f")
-            return Sat(model, assignment)
-    return Unsat()
+        open_ = {q: queries[q] for q in range(len(queries)) if q not in found}
+        hits = _first_hits(truths_of, rows, open_, n, ncells, len(holders), fixed)
+        for q, (row, values) in hits.items():
+            found[q] = (int(supports[start + row]), tuple(values))
+        if len(found) == len(queries):
+            break
+    pred_index = {p: i for i, p in enumerate(preds)}
+    models = {}
+    for column in found.values():
+        if column not in models:
+            support, values = column
+            names = dict(zip(holders, values))
+            models[column] = _canonical_model(support, names, preds, sig, pred_index)
+    witnesses = {q: models[column] for q, column in found.items()}
+    _recheck_hits(rows, queries, witnesses)
+    return [witnesses.get(q) for q in range(len(queries))]
+
+
+def _holds_exact(
+    rows: list[Formula], queries: list[Query], sig: Signature, ceiling: int | None
+) -> list[bool]:
+    """Which queries (premise rows ⊨ conclusion row) hold, by one scan of
+    `_cell_countermodels`.  When the predicates of the rows asked trip the
+    ceiling together, each query gets its own scan instead, which raises
+    only where that query alone would."""
+    try:
+        hits = _cell_countermodels(rows, queries, sig, ceiling)
+    except ResourceCeilingError:
+        if len(queries) < 2:
+            raise
+        hits = [_cell_countermodels(rows, [q], sig, ceiling)[0] for q in queries]
+    return [hit is None for hit in hits]
 
 
 def _decide_sat_eq(
@@ -361,30 +468,42 @@ def _neg_units(g: Formula) -> Formula:
     return Not(g)
 
 
-def _dnf(g: Formula) -> list[tuple[Formula, ...]]:
+def _dnf(g: Formula, limit: int) -> list[tuple[Formula, ...]]:
+    """The disjuncts of g, each a tuple of conjuncts.  ResourceCeilingError
+    before building a list of more than `limit` disjuncts."""
     if isinstance(g, Verum):
         return [()]
     if isinstance(g, Falsum):
         return []
     if isinstance(g, Or):
-        return _dnf(g.left) + _dnf(g.right)
+        out = _dnf(g.left, limit) + _dnf(g.right, limit)
+        _fits(len(out), limit)
+        return out
     if isinstance(g, And):
-        return [a + b for a in _dnf(g.left) for b in _dnf(g.right)]
+        left, right = _dnf(g.left, limit), _dnf(g.right, limit)
+        _fits(len(left) * len(right), limit)
+        return [a + b for a in left for b in right]
     return [(g,)]
 
 
-def _separate(g: Formula) -> Formula:
+def _fits(disjuncts: int, limit: int) -> None:
+    if disjuncts > limit:
+        raise ResourceCeilingError(disjuncts, limit, "normal form disjuncts")
+
+
+def _separate(g: Formula, limit: int) -> Formula:
     """Rewrite an NNF monadic formula so every quantifier scope is a closed
     single-variable cell conjunction.  Uses nonemptiness: exists y. true
-    is true."""
+    is true.  No disjunctive form built on the way exceeds `limit`
+    disjuncts (ResourceCeilingError)."""
     if isinstance(g, And):
-        return And(_separate(g.left), _separate(g.right))
+        return And(_separate(g.left, limit), _separate(g.right, limit))
     if isinstance(g, Or):
-        return Or(_separate(g.left), _separate(g.right))
+        return Or(_separate(g.left, limit), _separate(g.right, limit))
     if isinstance(g, Exists):
-        body = _separate(g.body)
+        body = _separate(g.body, limit)
         parts = []
-        for lits in _dnf(body):
+        for lits in _dnf(body, limit):
             alpha = [l for l in lits if g.var in free_vars(l)]
             beta = [l for l in lits if g.var not in free_vars(l)]
             if alpha:
@@ -392,7 +511,7 @@ def _separate(g: Formula) -> Formula:
             parts.append(big_and(beta))
         return big_or(parts)
     if isinstance(g, Forall):
-        flipped = _separate(Exists(g.var, nnf(Not(g.body))))
+        flipped = _separate(Exists(g.var, nnf(Not(g.body))), limit)
         return _neg_units(flipped)
     return g
 
@@ -408,11 +527,14 @@ def monadic_normal_form(
     Residues entailed by their cell collapse to true; disjuncts whose cell
     and residue jointly cannot hold are dropped; disjuncts with the same
     cell are merged by disjoining residues.  The form is pure when every
-    surviving residue is true.
+    surviving residue is true.  ResourceCeilingError when a disjunctive
+    form on the way would have more disjuncts than the ceiling, before it
+    is built.
     """
-    if not is_monadic(f):
+    facts = _facts(f)
+    if not facts.monadic:
         raise ValueError(f"not in the monadic fragment: {render(f)}")
-    stray = free_vars(f) - {var}
+    stray = facts.frees - {var}
     if stray:
         raise ValueError(
             "free variables beyond the target: " + ", ".join(sorted(stray))
@@ -422,9 +544,10 @@ def monadic_normal_form(
     _check_fragment((f,), sig)
     order = {name: i for i, (name, _) in enumerate(sig.predicates)}
     f = rename_apart(f, frozenset(sig.names()) | {var})
-    sep = _separate(nnf(f))
+    limit = DEFAULT_CEILING if ceiling is None else ceiling
+    sep = _separate(nnf(f), limit)
     merged: dict[tuple[tuple[str, bool], ...], list[Formula]] = {}
-    for lits in _dnf(sep):
+    for lits in _dnf(sep, limit):
         marks: dict[str, bool] = {}
         residue_parts: list[Formula] = []
         contradictory = False

@@ -5,6 +5,11 @@ earlier-defined unary class to the parameter is read as species-of-genus,
 with the remaining conjuncts as the difference.  Everything here compares
 formulas semantically: exactly inside the unary fragment, and up to a
 stated model-size bound outside it, with the engine always recorded.
+
+`generators` and `proximate_genus` ask their entailments as one batch, so
+the engine's one scan evaluates each formula once per chunk rather than
+once per pair.  `classify_formula` asks one entailment at a time, because
+its evidence carries each pair's own witness.
 """
 
 from __future__ import annotations
@@ -13,18 +18,19 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .defsys import DefinitionSystem, PredicateDef, _require_valid, unfold
-from .monadic import decide_entails, is_monadic
+from .monadic import _holds_exact, decide_entails, is_monadic
 from .semantics import (
     Countermodel,
     EntailmentVerdict,
     Holds,
     HoldsUpTo,
+    Query,
+    _countermodels,
     bounded_entails,
     default_bound,
     recheck,
 )
 from .syntax import (
-    And,
     Formula,
     Pred,
     Signature,
@@ -129,7 +135,12 @@ def porphyry_tree(
 
 @dataclass(frozen=True)
 class _Engine:
+    """One-query entailment with its witness, and a batch that tells which
+    queries (premise rows ⊨ conclusion row, see semantics.Query) over a
+    list of formulas hold, in one scan."""
+
     entails: Callable[[Formula, Formula], EntailmentVerdict]
+    holds: Callable[[list[Formula], list[Query]], list[bool]]
     exact: bool
     bound: int | None
 
@@ -149,12 +160,17 @@ def _pick_engine(
     if all(is_monadic(f) for f in formulas):
         return _Engine(
             entails=lambda p, c: decide_entails(p, c, sig, ceiling),
+            holds=lambda rows, queries: _holds_exact(rows, queries, sig, ceiling),
             exact=True,
             bound=None,
         )
     used = bound if bound is not None else default_bound(sig)
     return _Engine(
         entails=lambda p, c: bounded_entails(sig, [p], c, used, ceiling),
+        holds=lambda rows, queries: [
+            hit is None
+            for hit in _countermodels(sig, rows, queries, used, ceiling)
+        ],
         exact=False,
         bound=used,
     )
@@ -319,27 +335,45 @@ def proximate_genus(
         d.base, tuple([psi] + list(cand_formulas.values())), bound, ceiling
     )
 
-    def subset_key(mask: int) -> tuple[int, int]:
-        chosen = [parts[i] for i in range(len(parts)) if (mask >> i) & 1]
-        return (node_count(nnf(big_and(chosen))), mask)
+    def members(mask: int) -> list[int]:
+        return [b for b in range(len(parts)) if (mask >> b) & 1]
 
+    def subset_key(mask: int) -> tuple[int, int]:
+        return (node_count(nnf(big_and([parts[b] for b in members(mask)]))), mask)
+
+    # Rows: the body, then each candidate, then each conjunct of the body.
+    rows = [psi, *(cand_formulas[c] for c in candidates), *parts]
+    first_part = 1 + len(candidates)
+    contains = eng.holds(rows, [((0,), 1 + i) for i in range(len(candidates))])
+    # Sub-conjunctions in cost order, asked in windows of doubling width for
+    # every containing candidate still open, so the cheapest that recovers
+    # the body is found without asking much past it.
+    pending = [i for i in range(len(candidates)) if contains[i]]
+    order = sorted(range(1 << len(parts)), key=subset_key) if pending else []
+    best: dict[int, int] = {}
+    start, width = 0, 1
+    while pending and start < len(order):
+        window = order[start : start + width]
+        queries = [
+            ((1 + i, *(first_part + b for b in members(mask))), 0)
+            for i in pending
+            for mask in window
+        ]
+        answers = iter(eng.holds(rows, queries))
+        for i in pending:
+            found = [mask for mask in window if next(answers)]
+            if found:
+                best[i] = found[0]
+        pending = [i for i in pending if i not in best]
+        start, width = start + width, 2 * width
+    recheck(not pending, "full conjunction always recovers the body")
     scores: list[CandidateScore] = []
-    for c in candidates:
-        c_u = cand_formulas[c]
-        if not _holds(eng.entails(psi, c_u)):
+    for i, c in enumerate(candidates):
+        if not contains[i]:
             scores.append(CandidateScore(c, False, None, None))
             continue
-        best: Formula | None = None
-        for mask in sorted(range(1 << len(parts)), key=subset_key):
-            chosen = [parts[i] for i in range(len(parts)) if (mask >> i) & 1]
-            delta = big_and(chosen)
-            if _holds(eng.entails(And(c_u, delta), psi)):
-                best = delta
-                break
-        recheck(best is not None, "full conjunction always recovers the body")
-        scores.append(
-            CandidateScore(c, True, best, node_count(nnf(best)))
-        )
+        delta = big_and([parts[b] for b in members(best[i])])
+        scores.append(CandidateScore(c, True, delta, node_count(nnf(delta))))
     containing = [s for s in scores if s.contains]
     if not containing:
         raise ValueError(f"no candidate contains {species}")
@@ -384,10 +418,10 @@ def generators(
     unfolded = [unfold(s, d) for s in sentences]
     eng = _pick_engine(d.base, tuple(unfolded), bound, ceiling)
     n = len(unfolded)
-    entails = [
-        [i == j or _holds(eng.entails(unfolded[i], unfolded[j])) for j in range(n)]
-        for i in range(n)
-    ]
+    answers = iter(
+        eng.holds(unfolded, [((i,), j) for i in range(n) for j in range(n) if i != j])
+    )
+    entails = [[i == j or next(answers) for j in range(n)] for i in range(n)]
     flags = tuple(all(entails[i]) for i in range(n))
     recheck(
         all(

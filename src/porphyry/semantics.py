@@ -15,13 +15,18 @@ numpy boolean tensor; the first hit in enumeration order is the countermodel.
 `evaluate`, the plain recursive evaluator, re-checks that witness before it
 is returned.  A resource ceiling guards every enumeration; nothing silently
 explodes.
+
+The scan answers a batch of queries at once (`_countermodels`): each is
+"conjunction of rows entails row" over one list of formulas, each chunk
+evaluates every row once, and each query still open takes its first hit
+from those rows.  `bounded_entails` is the one-query case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -72,19 +77,20 @@ _EXACT_BITS = 1 << 16
 class ResourceCeilingError(Exception):
     """Raised when an enumeration would exceed the configured ceiling.
 
-    `needed` is the exact count of interpretations (or supports) asked for,
-    or None when that count has more than 2^16 bits: it is then at least
-    2^65536, and is never built.  Counts of 2^64 or more are printed as
-    powers of two.
+    `needed` is the exact count of interpretations (or supports, or normal
+    form disjuncts, as `what` says) asked for, or None when that count has
+    more than 2^16 bits: it is then at least 2^65536, and is never built.
+    Counts of 2^64 or more are printed as powers of two.
     """
 
-    def __init__(self, needed: int | None, ceiling: int):
+    def __init__(
+        self, needed: int | None, ceiling: int, what: str = "interpretations"
+    ):
         self.needed = needed
         self.ceiling = ceiling
         wanted = f"at least 2^{_EXACT_BITS}" if needed is None else _count(needed)
         super().__init__(
-            f"enumeration needs {wanted} interpretations, "
-            f"ceiling is {_count(ceiling)}"
+            f"enumeration needs {wanted} {what}, ceiling is {_count(ceiling)}"
         )
 
 
@@ -311,6 +317,19 @@ class Countermodel:
 EntailmentVerdict = Holds | HoldsUpTo | Countermodel
 
 
+# A query over a list of formulas, the rows: (premise rows, conclusion row).
+# Its hits are the models and assignments that make every premise true and
+# the conclusion false; with no conclusion (None), every premise true.
+Query = tuple[tuple[int, ...], "int | None"]
+
+
+def _asked(rows: list[Formula], queries: Iterable[Query]) -> list[Formula]:
+    """The rows that some query names, in row order."""
+    named = {i for premises, conclusion in queries for i in premises}
+    named.update(c for _, c in queries if c is not None)
+    return [rows[i] for i in sorted(named)]
+
+
 def bounded_entails(
     sig: Signature,
     premises: list[Formula] | tuple[Formula, ...],
@@ -332,31 +351,71 @@ def bounded_entails(
     every assignment at once.  The countermodel returned is the first hit in
     enumeration order (smallest size first, then interpretation index, then
     assignments with the sorted free variables varying last-fastest) and is
-    re-checked by evaluate before being returned.
+    re-checked by evaluate before being returned.  This is the one-query
+    case of `_countermodels`.
+    """
+    if bound is None:
+        bound = default_bound(sig)
+    rows = [*premises, conclusion]
+    query = (tuple(range(len(premises))), len(premises))
+    hit = _countermodels(sig, rows, [query], bound, ceiling)[0]
+    return HoldsUpTo(bound) if hit is None else Countermodel(*hit)
+
+
+def _countermodels(sig, rows, queries, bound, ceiling):
+    """The first hit of each query (see Query) over universes of size
+    1..bound, as (model, assignment), or None when it has none.
+
+    One scan answers every query: each chunk evaluates each row once, the
+    queries still open read their hits off those rows, and the scan stops
+    once every query is decided.  The free variables of the rows the
+    queries name are the holders, so a one-query scan is exactly
+    `bounded_entails`; a batch gives each query the same verdict as its
+    own scan.  Each hit is re-checked by evaluate.  bound None means
+    `default_bound(sig)`.
     """
     if bound is None:
         bound = default_bound(sig)
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    for f in (*premises, conclusion):
+    if not queries:
+        return []
+    asked = _asked(rows, queries)
+    for f in asked:
         _check_symbols(sig, f)
-    depth = max(quantifier_depth(f) for f in (*premises, conclusion))
-    frees = sorted(
-        frozenset().union(*(free_vars(p) for p in premises), free_vars(conclusion))
-        if premises
-        else free_vars(conclusion)
-    )
+    depth = max(quantifier_depth(f) for f in asked)
+    frees = sorted(frozenset().union(*(free_vars(f) for f in asked)))
+    found: dict[int, tuple[FiniteModel, dict[str, int]]] = {}
     for size in range(1, bound + 1):
-        hit = _scan(sig, premises, conclusion, frees, depth, size, ceiling)
-        if hit is not None:
-            model, env = hit
+        if len(found) == len(queries):
+            break
+        open_ = {q: queries[q] for q in range(len(queries)) if q not in found}
+        found.update(_scan(sig, rows, open_, frees, depth, size, ceiling))
+    _recheck_hits(rows, queries, found)
+    return [found.get(q) for q in range(len(queries))]
+
+
+def _recheck_hits(rows, queries, found) -> None:
+    """Re-check every hit with evaluate.  Hits that share a model and an
+    assignment share the evaluation of each row."""
+    truth: dict[tuple, bool] = {}
+
+    def holds(i: int, model: FiniteModel, env: dict[str, int]) -> bool:
+        key = (i, id(model), tuple(env.items()))
+        if key not in truth:
+            truth[key] = evaluate(rows[i], model, env)
+        return truth[key]
+
+    for q, (model, env) in found.items():
+        premises, conclusion = queries[q]
+        ok = all(holds(i, model, env) for i in premises)
+        if conclusion is None:
+            recheck(ok, "witness must satisfy f")
+        else:
             recheck(
-                all(evaluate(p, model, env) for p in premises)
-                and not evaluate(conclusion, model, env),
+                ok and not holds(conclusion, model, env),
                 "countermodel must satisfy the premises and refute the conclusion",
             )
-            return Countermodel(model, env)
-    return HoldsUpTo(bound)
 
 
 def _check_symbols(sig: Signature, f: Formula) -> None:
@@ -383,37 +442,48 @@ def _check_symbols(sig: Signature, f: Formula) -> None:
         _check_symbols(sig, f.body)
 
 
-def _scan(sig, premises, conclusion, frees, depth, size, ceiling):
-    """First (model, assignment) of one size with every premise true and
-    the conclusion false, or None.
+def _scan(sig, rows, queries, frees, depth, size, ceiling):
+    """The first hit, as (model, assignment), of each of `queries` (index
+    -> Query) that has one at this size.
 
     Arrays have axis i for free variable frees[i], one more axis per level
-    of quantifier nesting, and the model last.
+    of quantifier nesting, and the model last.  A chunk holds every row the
+    queries name at once, so its budget covers them as well as the deepest
+    quantifier.
     """
     total = _check_ceiling(_bits(sig, size), ceiling, size ** len(sig.constants))
     fixed = _fixed_holders(len(frees), size)
     spread = size ** (len(frees) - fixed)
-    step = 1 if fixed else _models_per_chunk(sig, size, spread * size**depth)
+    width = len(_asked(rows, queries.values()))
+    step = (
+        1
+        if fixed
+        else _models_per_chunk(sig, size, spread * max(size**depth, width))
+    )
     ndim = len(frees) + depth + 1
+    found = {}
     for start in range(0, total, step):
         n = min(step, total - start)
         preds, consts = _decode(sig, size, start, n)
         shaped = {c: v.reshape((1,) * (ndim - 1) + (n,)) for c, v in consts.items()}
         ev = _Tensors(preds, shaped, n, size, ndim)
 
-        def hit_of(prefix):
+        def truths_of(prefix):
             scope = {v: ev.element(e) for v, e in zip(frees, prefix)}
             scope.update((v, i) for i, v in enumerate(frees) if i >= fixed)
-            hit = ~ev.truth(conclusion, scope, len(frees), n * spread)
-            for p in premises:
-                hit = hit & ev.truth(p, scope, len(frees), n * spread)
-            return hit
+            return lambda f: ev.truth(f, scope, len(frees), n * spread), None
 
-        found = _first_hit(hit_of, n, size, len(frees), fixed)
-        if found is not None:
-            row, values = found
-            return _model(size, preds, consts, row), dict(zip(frees, values))
-    return None
+        open_ = {q: query for q, query in queries.items() if q not in found}
+        models = {}
+        for q, (row, values) in _first_hits(
+            truths_of, rows, open_, n, size, len(frees), fixed
+        ).items():
+            if row not in models:
+                models[row] = _model(size, preds, consts, row)
+            found[q] = (models[row], dict(zip(frees, values)))
+        if len(found) == len(queries):
+            break
+    return found
 
 
 def _fixed_holders(holders: int, size: int) -> int:
@@ -426,21 +496,56 @@ def _fixed_holders(holders: int, size: int) -> int:
     return fixed
 
 
-def _first_hit(hit_of, n: int, size: int, holders: int, fixed: int):
-    """First (row, holder elements) of a chunk of n models in (model, holder
-    elements lexicographic) order, or None.  hit_of(prefix) gives the hits
-    with the first `fixed` holders set to prefix (one model per chunk then)
-    and an axis for each other holder, as a _Tensors.truth array."""
+def _first_hits(truths_of, rows, queries, n: int, size: int, holders: int, fixed: int):
+    """The first hit of each of `queries` (index -> Query) in a chunk of n
+    models, as (row, holder elements) in (model, holder elements
+    lexicographic) order; queries with no hit in the chunk are left out.
+
+    truths_of(prefix) gives (truth, guard) with the first `fixed` holders
+    set to prefix (one model per chunk then): truth(f) is f as a
+    _Tensors.truth array with an axis for each other holder, and guard, an
+    array of the same kind or None, must hold at every hit too.  Each row a
+    query needs is evaluated once per prefix and flattened into one column
+    per (model, holder elements)."""
     shape = (n,) + (1,) * fixed + (size,) * (holders - fixed)
+    axes = (holders, *range(holders))
+
+    def flat(a):
+        a = a[(slice(None),) * holders + (0,) * (a.ndim - holders - 1)]
+        a = a.transpose(axes)
+        if a.shape != shape:
+            full = np.zeros(shape, dtype=bool)
+            full |= a
+            a = full
+        return a.ravel()
+
+    found = {}
     for prefix in product(range(size), repeat=fixed):
-        hit = hit_of(prefix)
-        hit = hit[(slice(None),) * holders + (0,) * (hit.ndim - holders - 1)]
-        flat = np.broadcast_to(np.moveaxis(hit, -1, 0), shape).ravel()
-        first = int(flat.argmax())
-        if flat[first]:
-            row, *rest = np.unravel_index(first, shape)
-            return int(row), [*prefix, *(int(e) for e in rest[fixed:])]
-    return None
+        truth, guard = truths_of(prefix)
+        base = None if guard is None else flat(guard)
+        columns: dict[int, np.ndarray] = {}
+
+        def column(i: int) -> np.ndarray:
+            if i not in columns:
+                columns[i] = flat(truth(rows[i]))
+            return columns[i]
+
+        for q, (premises, conclusion) in queries.items():
+            if q in found:
+                continue
+            hit = base
+            for i in premises:
+                hit = column(i) if hit is None else hit & column(i)
+            if conclusion is not None:
+                # On booleans, a > b is a & ~b in one pass.
+                hit = ~column(conclusion) if hit is None else hit > column(conclusion)
+            first = int(hit.argmax())
+            if hit[first]:
+                row, *rest = np.unravel_index(first, shape)
+                found[q] = int(row), [*prefix, *(int(e) for e in rest[fixed:])]
+        if len(found) == len(queries):
+            break
+    return found
 
 
 class _Tensors:

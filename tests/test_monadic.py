@@ -1,8 +1,9 @@
 import random
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from helpers import (
     all_models,
@@ -13,21 +14,25 @@ from helpers import (
     random_monadic_sentence,
 )
 import porphyry.monadic
+import porphyry.predicabilia
 import porphyry.semantics
 from porphyry import (
     And,
     Const,
     Countermodel,
+    DefinitionSystem,
     Eq,
     Exists,
     Falsum,
     Forall,
     Holds,
+    HoldsUpTo,
     Iff,
     Implies,
     Not,
     Or,
     Pred,
+    PredicateDef,
     ResourceCeilingError,
     Sat,
     Signature,
@@ -35,9 +40,11 @@ from porphyry import (
     Var,
     Verum,
     bounded_entails,
+    classify_formula,
     decide_entails,
     decide_sat,
     evaluate,
+    free_vars,
     is_monadic,
     monadic_normal_form,
     parse_formula,
@@ -224,18 +231,50 @@ def unary_formulas():
     )
 
 
+# G is a genus of S whose difference names the constant c.
+_DIFFERENCE = Or(Pred("M2", (Var("x"),)), Pred("M1", (Const("c"),)))
+_CLASSES = DefinitionSystem(
+    Signature((("M1", 1), ("M2", 1)), ("c",), False),
+    (
+        PredicateDef("G", ("x",), Pred("M1", (Var("x"),))),
+        PredicateDef("S", ("x",), And(Pred("G", (Var("x"),)), _DIFFERENCE)),
+    ),
+)
+
+
 @settings(max_examples=200, deadline=None)
-@given(unary_formulas())
-def test_exact_and_bounded_engines_agree(f):
+@given(unary_formulas(), unary_formulas())
+@example(_DIFFERENCE, Verum())
+@example(And(Pred("M1", (Var("x"),)), _DIFFERENCE), Verum())
+def test_exact_and_bounded_engines_agree(f, g):
     # Small-model property: a satisfiable formula over k unary predicates
     # has a model of at most 2^k elements, and the smallest has as many
-    # elements as the canonical witness has inhabited cells.
-    sig = Signature((("M1", 1), ("M2", 1)), ("c",), False)
+    # elements as the canonical witness has inhabited cells.  So the
+    # bounded scan at 2^k agrees with the exact engine on satisfiability,
+    # entailment and classification, constants included.
+    sig = _CLASSES.base
     exact = decide_sat(f, sig)
     scan = bounded_entails(sig, (), Not(f), 4)
     assert isinstance(exact, Sat) == isinstance(scan, Countermodel)
     if isinstance(exact, Sat):
         assert exact.model.size == scan.model.size
+    exact = decide_entails(f, g, sig)
+    scan = bounded_entails(sig, [f], g, 4)
+    assert isinstance(exact, Holds) == isinstance(scan, HoldsUpTo)
+    if isinstance(exact, Countermodel):
+        assert exact.model.size == scan.model.size
+    if len(free_vars(f)) > 1:
+        return
+    exact = classify_formula(f, "S", _CLASSES)
+    # A formula the engine chooser takes for non-monadic goes to the
+    # bounded scan at default_bound(sig) = 4.
+    with mock.patch.object(porphyry.predicabilia, "is_monadic", lambda f: False):
+        scan = classify_formula(f, "S", _CLASSES)
+    assert (exact.exact, scan.exact, scan.bound) == (True, False, 4)
+    assert type(exact) is type(scan)
+    assert exact.evidence.keys() == scan.evidence.keys()
+    for key, verdict in exact.evidence.items():
+        assert isinstance(verdict, Holds) == isinstance(scan.evidence[key], HoldsUpTo)
 
 
 def test_decide_sat_deterministic():
