@@ -381,7 +381,7 @@ def _cmd_entail(args, ceiling):
     else:
         sig, (lhs, rhs) = parse_formulas_infer([args.lhs, args.rhs])
     eng = _pick_engine(sig, (lhs, rhs), args.bound, ceiling)
-    verdict = eng.entails(lhs, rhs)
+    verdict = eng.verdicts([lhs, rhs], [((0,), 1)])[0]
     engine, engine_line = _engine(eng.exact, eng.bound)
     report, lines = _verdict(verdict, sig)
     if isinstance(verdict, Holds):

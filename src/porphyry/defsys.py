@@ -466,10 +466,15 @@ def unfold(f: Formula, d: DefinitionSystem) -> Formula:
     gives.
     """
     _require_valid(d)
-    declared = d.base.names() | {e.name for e in d.entries}
-    for name in set(predicates_of(f)) | constants_of(f):
+    defined = {e.name for e in d.entries}
+    declared = d.base.names() | defined
+    symbols = set(predicates_of(f)) | constants_of(f)
+    for name in symbols:
         if name not in declared:
             raise ValueError(f"symbol {name} not declared anywhere")
+    if symbols.isdisjoint(defined):
+        # Nothing to expand: the expander would rebuild an equal tree.
+        return rename_apart(f)
     return rename_apart(_Expander(d).expand(f))
 
 

@@ -18,17 +18,23 @@ its domain.  A quantified body that is the same for every support packs
 into one bitmask of the cells it holds of, so each support is tested with
 one integer operation (exists: s & mask != 0; forall: s & ~mask == 0); a
 body that differs between supports is masked to the inhabited cells
-first.  Each holder has its own axis, masked to the inhabited cells.
-Supports are numbered by binary counting over cells and scanned by (number
-of inhabited cells, value); the reported witness is the first hit, holder
+first.  A holder is an outermost exists over the inhabited cells, so the
+same test serves it: a hit that is the same for every support packs its
+last holder into one bitmask of cells for each assignment of the others,
+support s hits iff those others sit in inhabited cells and s & mask != 0,
+and the last holder takes the lowest set bit of s & mask.  Any other hit
+gives each holder its own axis, masked to the inhabited cells.  Supports
+are numbered by binary counting over cells and scanned by (number of
+inhabited cells, value); the reported witness is the first hit, holder
 cells tried in lexicographic order, which makes witnesses reproducible and
-small.
+small.  Packing keeps that order, so it keeps every witness.
 
 One scan answers a batch of queries, each "conjunction of rows entails
 row" over a list of formulas: each chunk evaluates every row asked about
 once, over the predicates and holders of all those rows, and each open
 query takes its first hit from them.  decide_sat is the one-query case;
-generators and proximate_genus ask their entailments as one batch.
+generators and proximate_genus ask their entailments as one batch, and
+classify_formula asks each of its mutual-entailment pairs as one.
 Satisfiability does not change when predicates are added, so every
 verdict of a batch is the verdict of the query's own scan.  When the
 batch's predicates together exceed the ceiling, each query gets its own
@@ -203,18 +209,15 @@ def _check_fragment(
 
 
 @lru_cache(maxsize=None)
-def _cell_models(k: int):
-    """(supports, inhabited): the supports over k predicates in scan order,
-    as int64 cell bitmasks, and inhabited[c, j] when support j inhabits cell
-    c.  Read-only, as every call with the same k shares them."""
-    ncells = 1 << k
-    supports = np.arange(1, 1 << ncells, dtype=np.int64)
-    inhabited = (supports >> np.arange(ncells)[:, None]) & 1 == 1
-    order = np.argsort(inhabited.sum(axis=0), kind="stable")
-    supports, inhabited = supports[order], inhabited[:, order]
-    for a in (supports, inhabited):
-        a.setflags(write=False)
-    return supports, inhabited
+def _cell_models(k: int) -> np.ndarray:
+    """The supports over k predicates in scan order, as int64 cell
+    bitmasks: by number of inhabited cells, then value.  Read-only, as
+    every call with the same k shares them."""
+    supports = np.arange(1, 1 << (1 << k), dtype=np.int64)
+    inhabited = sum((supports >> c) & 1 for c in range(1 << k))
+    supports = supports[np.argsort(inhabited, kind="stable")]
+    supports.setflags(write=False)
+    return supports
 
 
 def _canonical_model(
@@ -296,7 +299,7 @@ def _cell_countermodels(
     preds, consts, frees, depth = _check_fragment(asked, sig)
     ncells = 1 << len(preds)
     _check_ceiling(ncells, ceiling)
-    supports, inhabited = _cell_models(len(preds))
+    supports = _cell_models(len(preds))
     # Element e is cell e in every cell model: the extents do not depend on
     # the support, so their model axis has length 1.
     elements = np.arange(ncells)[:, None]
@@ -311,9 +314,8 @@ def _cell_countermodels(
     step = 1 if fixed else max(1, _CHUNK_CELLS // cells_each)
     found: dict[int, tuple[int, tuple[int, ...]]] = {}
     for start in range(0, len(supports), step):
-        part = slice(start, start + step)
-        cells = inhabited[:, part]
-        n = cells.shape[1]
+        domain = supports[start : start + step]
+        n = len(domain)
 
         def truths_of(prefix):
             where = [np.full((1,) * ndim, e) for e in prefix]
@@ -322,19 +324,16 @@ def _cell_countermodels(
                 for i in range(fixed, len(holders))
             ]
             named = dict(zip(consts, where[len(frees):]))
-            ev = _Tensors(ext, named, n, ncells, ndim, supports[part])
+            ev = _Tensors(ext, named, n, ncells, ndim, domain)
             scope = {v: i if i >= fixed else where[i] for i, v in enumerate(frees)}
-            # Every holder sits in an inhabited cell.
-            guard = None
-            for w in where:
-                inside = cells[w, ev.model]
-                guard = inside if guard is None else guard & inside
-            return lambda f: ev.truth(f, scope, len(holders), n * spread), guard
+            return lambda f: ev.truth(f, scope, len(holders), n * spread)
 
         open_ = {q: queries[q] for q in range(len(queries)) if q not in found}
-        hits = _first_hits(truths_of, rows, open_, n, ncells, len(holders), fixed)
+        hits = _first_hits(
+            truths_of, rows, open_, n, ncells, len(holders), fixed, domain
+        )
         for q, (row, values) in hits.items():
-            found[q] = (int(supports[start + row]), tuple(values))
+            found[q] = (int(domain[row]), tuple(values))
         if len(found) == len(queries):
             break
     pred_index = {p: i for i, p in enumerate(preds)}
@@ -349,20 +348,21 @@ def _cell_countermodels(
     return [witnesses.get(q) for q in range(len(queries))]
 
 
-def _holds_exact(
+def _exact_verdicts(
     rows: list[Formula], queries: list[Query], sig: Signature, ceiling: int | None
-) -> list[bool]:
-    """Which queries (premise rows ⊨ conclusion row) hold, by one scan of
-    `_cell_countermodels`.  When the predicates of the rows asked trip the
-    ceiling together, each query gets its own scan instead, which raises
-    only where that query alone would."""
+) -> list[Holds | Countermodel]:
+    """The verdict of each query (premise rows ⊨ conclusion row) by one scan
+    of `_cell_countermodels`: Holds, or the query's first hit as its
+    Countermodel.  When the predicates of the rows asked trip the ceiling
+    together, each query gets its own scan instead, which raises only where
+    that query alone would."""
     try:
         hits = _cell_countermodels(rows, queries, sig, ceiling)
     except ResourceCeilingError:
         if len(queries) < 2:
             raise
         hits = [_cell_countermodels(rows, [q], sig, ceiling)[0] for q in queries]
-    return [hit is None for hit in hits]
+    return [Holds() if hit is None else Countermodel(*hit) for hit in hits]
 
 
 def _decide_sat_eq(

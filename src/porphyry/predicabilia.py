@@ -8,8 +8,11 @@ stated model-size bound outside it, with the engine always recorded.
 
 `generators` and `proximate_genus` ask their entailments as one batch, so
 the engine's one scan evaluates each formula once per chunk rather than
-once per pair.  `classify_formula` asks one entailment at a time, because
-its evidence carries each pair's own witness.
+once per pair.  `classify_formula` asks each of its two mutual-entailment
+pairs (rho and the difference, the body and rho) as one batch over that
+pair's two rows.  The batch scans the same predicates and holders in the
+same order as either entailment alone, so each countermodel in its
+evidence is that entailment's own first hit.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .defsys import DefinitionSystem, PredicateDef, _require_valid, unfold
-from .monadic import _holds_exact, decide_entails, is_monadic
+from .monadic import _exact_verdicts, is_monadic
 from .semantics import (
     Countermodel,
     EntailmentVerdict,
@@ -26,7 +29,6 @@ from .semantics import (
     HoldsUpTo,
     Query,
     _countermodels,
-    bounded_entails,
     default_bound,
     recheck,
 )
@@ -135,14 +137,21 @@ def porphyry_tree(
 
 @dataclass(frozen=True)
 class _Engine:
-    """One-query entailment with its witness, and a batch that tells which
-    queries (premise rows ⊨ conclusion row, see semantics.Query) over a
-    list of formulas hold, in one scan."""
+    """An engine's one batch callable: `verdicts(rows, queries)` answers
+    every query (premise rows ⊨ conclusion row, see semantics.Query) over
+    a list of formulas in one scan, with Holds (exact), HoldsUpTo
+    (bounded) or a Countermodel, the query's first hit in that scan.  The
+    scan covers the predicates and holders of every row asked, so a
+    query whose rows are all the rows asked, such as each entailment of
+    a pair over two rows, gets the witness of its own one-query call.
+    `holds` keeps only whether each query holds."""
 
-    entails: Callable[[Formula, Formula], EntailmentVerdict]
-    holds: Callable[[list[Formula], list[Query]], list[bool]]
+    verdicts: Callable[[list[Formula], list[Query]], list[EntailmentVerdict]]
     exact: bool
     bound: int | None
+
+    def holds(self, rows: list[Formula], queries: list[Query]) -> list[bool]:
+        return [_holds(v) for v in self.verdicts(rows, queries)]
 
 
 def _holds(v: EntailmentVerdict) -> bool:
@@ -159,16 +168,14 @@ def _pick_engine(
     are monadic, otherwise bounded at `bound` or `default_bound(sig)`."""
     if all(is_monadic(f) for f in formulas):
         return _Engine(
-            entails=lambda p, c: decide_entails(p, c, sig, ceiling),
-            holds=lambda rows, queries: _holds_exact(rows, queries, sig, ceiling),
+            verdicts=lambda rows, queries: _exact_verdicts(rows, queries, sig, ceiling),
             exact=True,
             bound=None,
         )
     used = bound if bound is not None else default_bound(sig)
     return _Engine(
-        entails=lambda p, c: bounded_entails(sig, [p], c, used, ceiling),
-        holds=lambda rows, queries: [
-            hit is None
+        verdicts=lambda rows, queries: [
+            HoldsUpTo(used) if hit is None else Countermodel(*hit)
             for hit in _countermodels(sig, rows, queries, used, ceiling)
         ],
         exact=False,
@@ -262,17 +269,19 @@ def classify_formula(
     pool = [rho_u, psi] + ([delta_u] if delta_u is not None else [])
     eng = _pick_engine(d.base, tuple(pool), bound, ceiling)
 
+    # Each pair is one batch over its two rows: the same predicates, holders
+    # and scan order as either entailment alone, so each first hit is that
+    # entailment's own countermodel.
+    both_ways = [((0,), 1), ((1,), 0)]
     if delta_u is not None:
-        r_to_d = eng.entails(rho_u, delta_u)
-        d_to_r = eng.entails(delta_u, rho_u)
+        r_to_d, d_to_r = eng.verdicts([rho_u, delta_u], both_ways)
         if _holds(r_to_d) and _holds(d_to_r):
             return Difference(
                 {"rho_entails_delta": r_to_d, "delta_entails_rho": d_to_r},
                 eng.exact,
                 eng.bound,
             )
-    psi_to_rho = eng.entails(psi, rho_u)
-    rho_to_psi = eng.entails(rho_u, psi)
+    psi_to_rho, rho_to_psi = eng.verdicts([psi, rho_u], both_ways)
     evidence = {"psi_entails_rho": psi_to_rho, "rho_entails_psi": rho_to_psi}
     if _holds(psi_to_rho) and _holds(rho_to_psi):
         return Property(evidence, eng.exact, eng.bound)

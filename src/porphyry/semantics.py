@@ -471,7 +471,7 @@ def _scan(sig, rows, queries, frees, depth, size, ceiling):
         def truths_of(prefix):
             scope = {v: ev.element(e) for v, e in zip(frees, prefix)}
             scope.update((v, i) for i, v in enumerate(frees) if i >= fixed)
-            return lambda f: ev.truth(f, scope, len(frees), n * spread), None
+            return lambda f: ev.truth(f, scope, len(frees), n * spread)
 
         open_ = {q: query for q, query in queries.items() if q not in found}
         models = {}
@@ -496,56 +496,111 @@ def _fixed_holders(holders: int, size: int) -> int:
     return fixed
 
 
-def _first_hits(truths_of, rows, queries, n: int, size: int, holders: int, fixed: int):
+def _first_hits(
+    truths_of, rows, queries, n: int, size: int, holders: int, fixed: int, domain=None
+):
     """The first hit of each of `queries` (index -> Query) in a chunk of n
     models, as (row, holder elements) in (model, holder elements
     lexicographic) order; queries with no hit in the chunk are left out.
 
-    truths_of(prefix) gives (truth, guard) with the first `fixed` holders
-    set to prefix (one model per chunk then): truth(f) is f as a
-    _Tensors.truth array with an axis for each other holder, and guard, an
-    array of the same kind or None, must hold at every hit too.  Each row a
-    query needs is evaluated once per prefix and flattened into one column
-    per (model, holder elements)."""
+    truths_of(prefix) gives truth with the first `fixed` holders set to
+    prefix (one model per chunk then): truth(f) is f as a _Tensors.truth
+    array with an axis for each other holder.  Each row a query needs is
+    evaluated once per prefix.  domain, when given, is the universe of each
+    model as an int64 bitmask of shape (n,), as in _Tensors, and every
+    holder must sit inside it; otherwise every element is in every universe.
+
+    A query's hit is flattened into one column per (model, holder elements).
+    But a hit that every model of the chunk shares (model axis of length 1)
+    packs its last holder, when that holder has an axis and there is a
+    domain, into one bitmask of the elements it holds at for each
+    assignment of the other holders, as _Tensors._test does for a
+    quantifier: model j hits there iff the other holders are inside its
+    universe and domain[j] & mask != 0, and the lowest set bit of
+    domain[j] & mask is the last holder's first element.
+    """
     shape = (n,) + (1,) * fixed + (size,) * (holders - fixed)
     axes = (holders, *range(holders))
+    packs = domain is not None and holders > fixed
+    if domain is not None:
+        universe = domain.reshape((n,) + (1,) * holders)
+        weights = np.left_shift(1, np.arange(size, dtype=np.int64))
 
-    def flat(a):
-        a = a[(slice(None),) * holders + (0,) * (a.ndim - holders - 1)]
-        a = a.transpose(axes)
-        if a.shape != shape:
-            full = np.zeros(shape, dtype=bool)
-            full |= a
-            a = full
-        return a.ravel()
+    def lead(a):
+        """a with the model axis first, then one axis per holder."""
+        return a[(slice(None),) * holders + (0,) * (a.ndim - holders - 1)].transpose(axes)
 
     found = {}
     for prefix in product(range(size), repeat=fixed):
-        truth, guard = truths_of(prefix)
-        base = None if guard is None else flat(guard)
-        columns: dict[int, np.ndarray] = {}
+        truth = truths_of(prefix)
+        truths: dict[int, np.ndarray] = {}
+        guards: dict[int, np.ndarray | None] = {}
 
-        def column(i: int) -> np.ndarray:
-            if i not in columns:
-                columns[i] = flat(truth(rows[i]))
-            return columns[i]
+        def guard(upto: int) -> np.ndarray | None:
+            """Holders 0..upto-1 all sit inside the universe, in lead()
+            form; None when that is no constraint."""
+            if upto not in guards:
+                inside = None
+                for i in range(upto if domain is not None else 0):
+                    along = (1,) * (i + 1) + (size,) + (1,) * (holders - i - 1)
+                    bit = weights[prefix[i]] if i < fixed else weights.reshape(along)
+                    here = universe & bit != 0
+                    inside = here if inside is None else inside & here
+                guards[upto] = inside
+            return guards[upto]
+
+        def row_truth(i: int) -> np.ndarray:
+            if i not in truths:
+                truths[i] = truth(rows[i])
+            return truths[i]
 
         for q, (premises, conclusion) in queries.items():
             if q in found:
                 continue
-            hit = base
+            hit = None
             for i in premises:
-                hit = column(i) if hit is None else hit & column(i)
+                hit = row_truth(i) if hit is None else hit & row_truth(i)
             if conclusion is not None:
                 # On booleans, a > b is a & ~b in one pass.
-                hit = ~column(conclusion) if hit is None else hit > column(conclusion)
-            first = int(hit.argmax())
-            if hit[first]:
-                row, *rest = np.unravel_index(first, shape)
-                found[q] = int(row), [*prefix, *(int(e) for e in rest[fixed:])]
+                t = row_truth(conclusion)
+                hit = ~t if hit is None else hit > t
+            hit = lead(hit)
+            if packs and hit.shape[0] == 1:
+                mask = np.where(hit, weights, 0).sum(axis=-1, keepdims=True)
+                tested = universe & mask != 0
+                if guard(holders - 1) is not None:
+                    tested = tested & guard(holders - 1)
+                packed = shape[:-1] + (1,)
+                at = _first_true(tested, packed)
+                if at is not None:
+                    row, *rest = at
+                    bits = int(domain[row]) & int(np.broadcast_to(mask, packed)[tuple(at)])
+                    rest[-1] = (bits & -bits).bit_length() - 1
+                    found[q] = row, [*prefix, *rest[fixed:]]
+                continue
+            if guard(holders) is not None:
+                hit = hit & guard(holders)
+            at = _first_true(hit, shape)
+            if at is not None:
+                row, *rest = at
+                found[q] = row, [*prefix, *rest[fixed:]]
         if len(found) == len(queries):
             break
     return found
+
+
+def _first_true(a: np.ndarray, shape: tuple[int, ...]) -> list[int] | None:
+    """The index, in C order, of the first true cell of a broadcast to
+    shape, or None when there is none."""
+    if a.shape != shape:
+        full = np.zeros(shape, dtype=bool)
+        full |= a
+        a = full
+    flat = a.ravel()
+    first = int(flat.argmax())
+    if not flat[first]:
+        return None
+    return [int(e) for e in np.unravel_index(first, shape)]
 
 
 class _Tensors:

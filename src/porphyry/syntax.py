@@ -214,21 +214,27 @@ def _terms_of(f: Formula) -> Iterator[Term]:
 
 
 def free_vars(f: Formula) -> frozenset[str]:
-    if isinstance(f, (Verum, Falsum)):
-        return frozenset()
-    if isinstance(f, Pred):
-        return frozenset(t.name for t in f.args if isinstance(t, Var))
-    if isinstance(f, Eq):
-        return frozenset(
-            t.name for t in (f.left, f.right) if isinstance(t, Var)
-        )
-    if isinstance(f, Not):
-        return free_vars(f.body)
-    if isinstance(f, BINARY):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, QUANTIFIERS):
-        return free_vars(f.body) - {f.var}
-    raise TypeError(f"not a formula: {f!r}")
+    """The variables of f that no quantifier above them binds, by an
+    explicit stack as in subformulas."""
+    out: set[str] = set()
+    stack: list[tuple[Formula, frozenset[str]]] = [(f, frozenset())]
+    while stack:
+        g, bound = stack.pop()
+        if isinstance(g, (Pred, Eq)):
+            terms = g.args if isinstance(g, Pred) else (g.left, g.right)
+            out.update(
+                t.name for t in terms if isinstance(t, Var) and t.name not in bound
+            )
+        elif isinstance(g, Not):
+            stack.append((g.body, bound))
+        elif isinstance(g, BINARY):
+            stack.append((g.right, bound))
+            stack.append((g.left, bound))
+        elif isinstance(g, QUANTIFIERS):
+            stack.append((g.body, bound | {g.var}))
+        elif not isinstance(g, (Verum, Falsum)):
+            raise TypeError(f"not a formula: {g!r}")
+    return frozenset(out)
 
 
 def is_sentence(f: Formula) -> bool:
@@ -485,16 +491,23 @@ def _neg(f: Formula) -> Formula:
 
 
 def quantifier_depth(f: Formula) -> int:
-    """Deepest nesting of quantifiers in f."""
-    if isinstance(f, (Verum, Falsum, Pred, Eq)):
-        return 0
-    if isinstance(f, Not):
-        return quantifier_depth(f.body)
-    if isinstance(f, BINARY):
-        return max(quantifier_depth(f.left), quantifier_depth(f.right))
-    if isinstance(f, QUANTIFIERS):
-        return 1 + quantifier_depth(f.body)
-    raise TypeError(f"not a formula: {f!r}")
+    """Deepest nesting of quantifiers in f, by an explicit stack as in
+    subformulas."""
+    depth = 0
+    stack = [(f, 0)]
+    while stack:
+        g, level = stack.pop()
+        if isinstance(g, Not):
+            stack.append((g.body, level))
+        elif isinstance(g, BINARY):
+            stack.append((g.right, level))
+            stack.append((g.left, level))
+        elif isinstance(g, QUANTIFIERS):
+            depth = max(depth, level + 1)
+            stack.append((g.body, level + 1))
+        elif not isinstance(g, (Verum, Falsum, Pred, Eq)):
+            raise TypeError(f"not a formula: {g!r}")
+    return depth
 
 
 def node_count(f: Formula) -> int:

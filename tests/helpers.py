@@ -184,7 +184,7 @@ def occurring(f, bound=frozenset()):
     return set(), set(), set()
 
 
-def first_cell_model(f, unary, constants):
+def first_cell_model(f, unary, constants, max_cells=None):
     """The documented canonical witness of an equality-free unary formula,
     by brute force: (model, assignment), or None when f is unsatisfiable.
 
@@ -195,12 +195,18 @@ def first_cell_model(f, unary, constants):
     f's sorted free variables and then its constants in the order of
     `constants`, take elements in lexicographic order.  Constants f does not
     use are element 0, predicates of `unary` it does not use are empty.
+
+    max_cells, when given, stops after the supports of that many cells: the
+    caller knows that a first witness, if any, has no more.
     """
     used, in_f, frees = occurring(f)
     preds = [p for p in unary if p in used]
     holders = sorted(frees) + [c for c in constants if c in in_f]
     ncells = 1 << len(preds)
-    supports = sorted(range(1, 1 << ncells), key=lambda s: (bin(s).count("1"), s))
+    supports = range(1, 1 << ncells)
+    if max_cells is not None:
+        supports = [s for s in supports if bin(s).count("1") <= max_cells]
+    supports = sorted(supports, key=lambda s: (bin(s).count("1"), s))
     for s in supports:
         cells = [c for c in range(ncells) if s >> c & 1]
         extents = {p: frozenset() for p in unary}

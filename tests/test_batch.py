@@ -6,14 +6,24 @@ import random
 
 import pytest
 
-from helpers import all_models, first_cell_model, naive_eval, random_formula
+from helpers import (
+    all_models,
+    first_cell_model,
+    naive_eval,
+    occurring,
+    random_formula,
+)
 import porphyry.monadic
 import porphyry.semantics
 from porphyry import (
     And,
+    Const,
     DefinitionSystem,
+    Difference,
     Exists,
     Forall,
+    Holds,
+    HoldsUpTo,
     Not,
     Or,
     Pred,
@@ -23,13 +33,19 @@ from porphyry import (
     Signature,
     Var,
     big_and,
+    bounded_entails,
+    classify_formula,
     decide_entails,
     generators,
+    is_monadic,
     monadic_normal_form,
     parse_formula,
+    porphyry_tree,
     proximate_genus,
+    quantifier_depth,
+    unfold,
 )
-from porphyry.monadic import _holds_exact
+from porphyry.monadic import _cell_countermodels, _exact_verdicts
 from porphyry.semantics import _countermodels
 
 
@@ -80,7 +96,9 @@ def test_exact_batch_matches_per_query_oracle(monkeypatch, cells):
         frees = rng.sample(["x", "y"], rng.randint(0, 2 - len(consts)))
         sig = Signature(tuple((p, 1) for p in preds), tuple(sorted(consts)), False)
         formulas, queries = _random_batch(rng, preds, consts, frees)
-        got = _holds_exact(formulas, queries, sig, None)
+        got = [
+            isinstance(v, Holds) for v in _exact_verdicts(formulas, queries, sig, None)
+        ]
         want = [_exact_oracle(formulas, q, preds, sig.constants) for q in queries]
         assert got == want
 
@@ -100,6 +118,157 @@ def test_bounded_batch_matches_per_query_oracle(monkeypatch, cells):
             _bounded_oracle(formulas, q, sig, sorted(frees), 3) for q in queries
         ]
         assert [hit is None for hit in hits] == want
+
+
+def _pad(rows, sig):
+    """A valid formula that uses every predicate and holder of the rows, so
+    the oracle scans the cells and holders the batch scans."""
+    preds, consts, frees = set(), set(), set()
+    for f in rows:
+        used, named, free = occurring(f)
+        preds |= used
+        consts |= named
+        frees |= free
+    preds = [p for p, _ in sig.predicates if p in preds]
+    terms = [Var(v) for v in sorted(frees)] + [Const(c) for c in consts]
+    parts = [Forall("v", Or(Pred(p, (Var("v"),)), Not(Pred(p, (Var("v"),))))) for p in preds]
+    parts += [Or(Pred(preds[0], (t,)), Not(Pred(preds[0], (t,)))) for t in terms]
+    return big_and(parts), len(terms)
+
+
+def _packing_cases(rng, cells):
+    """(sig, rows) batches: rows over holders x, y and c, quantifier-free
+    ones mixed with quantified sentences."""
+    M3 = Signature((("M1", 1), ("M2", 1), ("M3", 1)), (), False)
+    M2c = Signature((("M1", 1), ("M2", 1)), ("c",), False)
+    # The first hit's support has two cells that the last holder could
+    # take: the packed test must give it the lower one.
+    yield M2c, [parse_formula(t, M2c) for t in ("M1(x) & !M1(y)", "M2(c) | !M2(c)", "M2(y)")]
+    yield M3, [
+        parse_formula(t, M3)
+        for t in ("(exists y. M1(y) & M2(y)) & exists y. M1(y) & !M2(y)", "M1(x)", "M3(x)")
+    ]
+    for trial in range(24):
+        # k=4 rows are quantifier-free only: a first hit over h holders
+        # then has at most h cells, which keeps the brute force small.
+        # Three holders come with k=2.
+        k = 4 if cells is None and trial % 2 else 3
+        holders = rng.randint(1, 2 if k == 4 else 3)
+        if holders == 3:
+            k = 2
+        preds = [f"M{i}" for i in range(1, k + 1)]
+        consts = rng.sample(["c"], rng.randint(0, 1))
+        frees = ["x", "y"][: holders - len(consts)]
+        sig = Signature(tuple((p, 1) for p in preds), tuple(consts), False)
+        rows = [
+            random_formula(rng, preds, scope=frees, max_q=0, depth=3, consts=consts)
+            for _ in range(3 if k == 4 else 2)
+        ]
+        if k < 4:
+            rows.append(random_formula(rng, preds, max_q=2, depth=4, consts=consts))
+        yield sig, rows
+
+
+@pytest.mark.parametrize("cells", [None, 64, 8])
+def test_packed_holder_matches_first_cell_model(monkeypatch, cells):
+    # A hit over quantifier-free rows is the same for every support, so its
+    # last holder is packed into one bitmask of cells.  Rows holding
+    # quantified sentences differ between supports and keep the unpacked
+    # path in the same batch, except in chunks of one support.  64 cells
+    # splits the supports into chunks; 8 also takes one support per chunk
+    # and fixes the first of two holders one cell at a time.
+    if cells is not None:
+        _small_chunks(monkeypatch, cells)
+    queries = [((0,), 1), ((1,), 0), ((0, 1), 2), ((2,), None), ((), 0)]
+    queries += [((0, 1), None), ((1,), 2)]
+    packed = 0
+    for trial, (sig, rows) in enumerate(_packing_cases(random.Random(303), cells)):
+        preds = [p for p, _ in sig.predicates]
+        pad, named = _pad(rows, sig)
+        got = _cell_countermodels(rows, queries, sig, None)
+        for q, hit in zip(queries, got):
+            premises, conclusion = q
+            parts = [rows[i] for i in premises]
+            if conclusion is not None:
+                parts.append(Not(rows[conclusion]))
+            flat = all(quantifier_depth(f) == 0 for f in parts)
+            packed += flat
+            want = first_cell_model(
+                big_and(parts + [pad]),
+                preds,
+                sig.constants,
+                max(1, named) if flat else None,
+            )
+            assert hit == want, (trial, q, cells)
+    assert packed > 60
+
+
+def test_classify_pairs_match_one_query_entailments():
+    # classify asks each mutual-entailment pair as one batch over its two
+    # rows; each verdict and countermodel must be that of the pair's own
+    # one-query call, under both engines.
+    rng = random.Random(404)
+    base = ["M1", "M2", "M3"]
+    x = Var("x")
+    cases = 0
+    engines = set()
+    for trial in range(16):
+        bounded = trial % 4 == 3
+        consts = ("c",) if trial % 2 else ()
+        sig = Signature(
+            tuple((p, 1) for p in base) + ((("R", 2),) if bounded else ()), consts, False
+        )
+
+        def body(scope, q=1):
+            return random_formula(rng, base, scope=scope, max_q=q, depth=3, consts=consts)
+
+        genus = body(["x"])
+        if bounded:
+            genus = And(genus, Exists("y", Pred("R", (x, Var("y")))))
+        entries = (
+            PredicateDef("G", ("x",), genus),
+            PredicateDef("S", ("x",), And(Pred("G", (x,)), body(["x"]))),
+            # A class whose body ignores its parameter, and a species of it.
+            PredicateDef("B", ("x",), body([], 2)),
+            PredicateDef("T", ("x",), And(Pred("B", (x,)), body(["x"]))),
+        )
+        d = DefinitionSystem(sig, entries)
+        tree, _ = porphyry_tree(d)
+        bound = 2 if bounded else None
+        for species in ("S", "B", "T"):
+            psi = unfold(Pred(species, (x,)), d)
+            edge = next((e for e in tree.edges if e.species == species), None)
+            delta = None if edge is None else unfold(edge.difference, d)
+            # rho: a random formula, a sentence, the difference, the body.
+            rhos = [body(["x"]), body([], 2), psi]
+            if edge is not None:
+                rhos.append(edge.difference)
+            for rho in rhos:
+                rho_u = unfold(rho, d)
+                pool = [rho_u, psi] + ([delta] if delta is not None else [])
+                exact = all(is_monadic(f) for f in pool)
+                if exact:
+                    one = lambda p, c: decide_entails(p, c, sig)
+                else:
+                    one = lambda p, c: bounded_entails(sig, [p], c, bound)
+                got = classify_formula(rho, species, d, bound=bound)
+                assert got.exact == exact
+                engines.add(exact)
+                if delta is not None:
+                    pair = {
+                        "rho_entails_delta": one(rho_u, delta),
+                        "delta_entails_rho": one(delta, rho_u),
+                    }
+                    if all(isinstance(v, (Holds, HoldsUpTo)) for v in pair.values()):
+                        assert isinstance(got, Difference)
+                        assert got.evidence == pair
+                        cases += 1
+                        continue
+                pair = {"psi_entails_rho": one(psi, rho_u), "rho_entails_psi": one(rho_u, psi)}
+                assert got.evidence == pair, (trial, species, rho)
+                assert not isinstance(got, Difference)
+                cases += 1
+    assert cases > 100 and engines == {True, False}
 
 
 def test_generators_batch_past_the_pairwise_ceiling():

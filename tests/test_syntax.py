@@ -4,7 +4,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from helpers import all_models, naive_eval, random_formula
+from helpers import all_models, naive_eval, occurring, random_formula
 from porphyry import (
     And,
     Const,
@@ -25,6 +25,7 @@ from porphyry import (
     free_vars,
     nnf,
     node_count,
+    quantifier_depth,
     render,
     rename_apart,
     subst,
@@ -152,6 +153,42 @@ def test_subformulas_deep_chain():
     assert len(walked) == 10001
     assert walked[0] is f and walked[-1] == P("M2", "x")
     assert node_count(f) == 10001
+
+
+def _depth_reference(f):
+    if isinstance(f, (Forall, Exists)):
+        return 1 + _depth_reference(f.body)
+    if isinstance(f, Not):
+        return _depth_reference(f.body)
+    if isinstance(f, (And, Or, Implies, Iff)):
+        return max(_depth_reference(f.left), _depth_reference(f.right))
+    return 0
+
+
+def test_free_vars_and_quantifier_depth_match_recursive_reference():
+    rng = random.Random(17)
+    for _ in range(300):
+        f = random_formula(rng, PREDS, scope=["x", "y"], max_q=3, depth=5, consts=["c"])
+        assert free_vars(f) == frozenset(occurring(f)[2])
+        assert quantifier_depth(f) == _depth_reference(f)
+
+
+def test_free_vars_and_quantifier_depth_deep_chain():
+    # Built in code, past what the parser accepts: neither walk recurses.
+    f = P("M1", "x")
+    for i in range(5000):
+        f = And(f, Exists("y", P("M2", "y")) if i % 2 else P("M2", f"z{i % 3}"))
+    f = Forall("w", Or(f, P("M1", "w")))
+    assert free_vars(f) == {"x", "z0", "z1", "z2"}
+    assert quantifier_depth(f) == 2
+
+
+def test_free_vars_and_quantifier_depth_reject_non_formulas():
+    for bad in (And(P("M1", "x"), "M2(x)"), Not(3), Forall("x", None)):
+        with pytest.raises(TypeError):
+            free_vars(bad)
+        with pytest.raises(TypeError):
+            quantifier_depth(bad)
 
 
 def test_rename_apart_duplicate_binders():
