@@ -14,6 +14,11 @@ base symbols, for display and for the entailment engines.  Both read an
 atom that mentions a constant which is not uniquely described as "the atom
 holds of some element the description holds of", through one rewrite,
 `_describe_atom`.
+
+Well-formedness is a property of the system, not of each question asked
+of it, so each public call validates its system once: `unfold` is
+`_require_valid` and then `_unfold`, and callers that unfold several
+formulas over one system validate once and call `_unfold`.
 """
 
 from __future__ import annotations
@@ -42,14 +47,11 @@ from .syntax import (
     all_names,
     big_and,
     conjuncts,
-    constants_of,
-    free_vars,
+    facts,
     fresh_name,
-    predicates_of,
     quantifier_depth,
     render,
     rename_apart,
-    subformulas,
     subst,
 )
 
@@ -200,9 +202,9 @@ def validate(d: DefinitionSystem) -> ValidationReport:
         return None
 
     for i, entry in enumerate(d.entries):
-        body = entry.body
         params = entry.params if isinstance(entry, PredicateDef) else (entry.var,)
-        stray = free_vars(body) - set(params)
+        fx = facts(entry.body)
+        stray = fx.frees - set(params)
         if stray:
             vs.append(
                 Violation(
@@ -212,7 +214,7 @@ def validate(d: DefinitionSystem) -> ValidationReport:
                     "stray free variables: " + ", ".join(sorted(stray)),
                 )
             )
-        uses = _pred_uses(body)
+        uses = fx.preds
         mixed = {n for n, ars in uses.items() if len(ars) > 1}
         for name in sorted(mixed):
             vs.append(
@@ -256,7 +258,7 @@ def validate(d: DefinitionSystem) -> ValidationReport:
                         f"defined /{len(target.params)}, applied /{used_arity}",
                     )
                 )
-        for name in sorted(constants_of(body)):
+        for name in sorted(fx.consts):
             if d.base.is_constant(name):
                 continue
             if d.base.arity(name) is not None:
@@ -272,14 +274,6 @@ def validate(d: DefinitionSystem) -> ValidationReport:
                     Violation(i, "arity-mismatch", name, "predicate used as term")
                 )
     return ValidationReport(valid=not vs, violations=tuple(vs))
-
-
-def _pred_uses(f: Formula) -> dict[str, set[int]]:
-    uses: dict[str, set[int]] = {}
-    for g in subformulas(f):
-        if isinstance(g, Pred):
-            uses.setdefault(g.name, set()).add(len(g.args))
-    return uses
 
 
 def _require_valid(d: DefinitionSystem) -> None:
@@ -318,10 +312,9 @@ def dependency_graph(d: DefinitionSystem) -> DependencyGraph:
     index = {e.name: i for i, e in enumerate(d.entries)}
     edges: list[tuple[str, str]] = []
     for e in d.entries:
-        body_syms = set(predicates_of(e.body)) | set(constants_of(e.body))
-        for name in (x.name for x in d.entries):
-            if name in body_syms and (e.name, name) not in edges:
-                edges.append((e.name, name))
+        fx = facts(e.body)
+        used = sorted({index[n] for n in (*fx.preds, *fx.consts) if n in index})
+        edges += [(e.name, d.entries[j].name) for j in used]
     for src, dst in edges:
         recheck(index[dst] < index[src], "dependency must point backwards")
     return DependencyGraph(
@@ -466,13 +459,19 @@ def unfold(f: Formula, d: DefinitionSystem) -> Formula:
     gives.
     """
     _require_valid(d)
+    return _unfold(f, d)
+
+
+def _unfold(f: Formula, d: DefinitionSystem) -> Formula:
+    """unfold over a system already validated."""
     defined = {e.name for e in d.entries}
     declared = d.base.names() | defined
-    symbols = set(predicates_of(f)) | constants_of(f)
+    fx = facts(f)
+    symbols = [*fx.arities(), *fx.consts]
     for name in symbols:
         if name not in declared:
             raise ValueError(f"symbol {name} not declared anywhere")
-    if symbols.isdisjoint(defined):
+    if defined.isdisjoint(symbols):
         # Nothing to expand: the expander would rebuild an equal tree.
         return rename_apart(f)
     return rename_apart(_Expander(d).expand(f))

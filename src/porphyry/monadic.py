@@ -45,7 +45,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -70,14 +69,11 @@ from .semantics import (
 )
 from .syntax import (
     And,
-    Const,
-    Eq,
     Exists,
+    Facts,
     Falsum,
     Forall,
     Formula,
-    Iff,
-    Implies,
     Not,
     Or,
     Pred,
@@ -86,10 +82,9 @@ from .syntax import (
     Verum,
     big_and,
     big_or,
+    facts,
     free_vars,
     nnf,
-    predicates_of,
-    quantifier_depth,
     rename_apart,
     render,
     uses_equality,
@@ -98,52 +93,11 @@ from .syntax import (
 
 def is_monadic(f: Formula) -> bool:
     """True iff every predicate in f is unary and equality never occurs."""
-    return _facts(f).monadic
+    return _monadic(facts(f))
 
 
-class _Facts(NamedTuple):
-    preds: list[str]
-    consts: list[str]
-    frees: frozenset[str]
-    depth: int
-    monadic: bool
-
-
-def _facts(f: Formula) -> _Facts:
-    """The predicates and the constants of f, each in order of first
-    occurrence, its free variables and its quantifier depth, in one walk
-    with an explicit stack.  monadic is False when equality occurs or a
-    predicate is applied to other than one argument."""
-    preds: dict[str, None] = {}
-    consts: dict[str, None] = {}
-    frees: set[str] = set()
-    depth = 0
-    monadic = True
-    stack: list[tuple[Formula, frozenset[str], int]] = [(f, frozenset(), 0)]
-    while stack:
-        g, bound, level = stack.pop()
-        if isinstance(g, (Pred, Eq)):
-            if isinstance(g, Pred):
-                preds[g.name] = None
-                terms = g.args
-                monadic = monadic and len(terms) == 1
-            else:
-                terms = (g.left, g.right)
-                monadic = False
-            for t in terms:
-                if isinstance(t, Const):
-                    consts[t.name] = None
-                elif t.name not in bound:
-                    frees.add(t.name)
-        elif isinstance(g, (And, Or, Implies, Iff)):
-            stack.append((g.right, bound, level))
-            stack.append((g.left, bound, level))
-        elif isinstance(g, Not):
-            stack.append((g.body, bound, level))
-        elif isinstance(g, (Forall, Exists)):
-            depth = max(depth, level + 1)
-            stack.append((g.body, bound | {g.var}, level + 1))
-    return _Facts(list(preds), list(consts), frozenset(frees), depth, monadic)
+def _monadic(fx: Facts) -> bool:
+    return not fx.equality and all(a == {1} for a in fx.preds.values())
 
 
 @dataclass(frozen=True)
@@ -164,11 +118,10 @@ def _infer_signature(fs: tuple[Formula, ...]) -> Signature:
     preds: set[str] = set()
     consts: set[str] = set()
     for f in fs:
-        facts = _facts(f)
-        if not facts.monadic:
-            predicates_of(f)  # ValueError on a predicate used at two arities
-        preds.update(facts.preds)
-        consts.update(facts.consts)
+        fx = facts(f)
+        fx.arities()  # ValueError on a predicate used at two arities
+        preds.update(fx.preds)
+        consts.update(fx.consts)
     return Signature(
         tuple((p, 1) for p in sorted(preds)), tuple(sorted(consts)), False
     )
@@ -186,19 +139,19 @@ def _check_fragment(
     frees: set[str] = set()
     depth = 0
     for f in fs:
-        facts = _facts(f)
-        if not facts.monadic:
+        fx = facts(f)
+        if not _monadic(fx):
             raise ValueError(f"not in the monadic fragment: {render(f)}")
-        for name in facts.preds:
+        for name in fx.preds:
             if sig.arity(name) != 1:
                 raise ValueError(f"predicate {name} not declared unary")
-        for c in facts.consts:
+        for c in fx.consts:
             if not sig.is_constant(c):
                 raise ValueError(f"constant {c} not declared")
-        used.update(facts.preds)
-        named.update(facts.consts)
-        frees |= facts.frees
-        depth = max(depth, facts.depth)
+        used.update(fx.preds)
+        named.update(fx.consts)
+        frees |= fx.frees
+        depth = max(depth, fx.depth)
     consts = [c for c in sig.constants if c in named]
     return (
         [name for name, _ in sig.predicates if name in used],
@@ -298,7 +251,7 @@ def _cell_countermodels(
     asked = _asked(rows, queries)
     preds, consts, frees, depth = _check_fragment(asked, sig)
     ncells = 1 << len(preds)
-    _check_ceiling(ncells, ceiling)
+    _check_ceiling(ncells, ceiling, what="supports")
     supports = _cell_models(len(preds))
     # Element e is cell e in every cell model: the extents do not depend on
     # the support, so their model axis has length 1.
@@ -371,14 +324,11 @@ def _decide_sat_eq(
     if sig is None:
         inferred = _infer_signature((f,))
         sig = Signature(inferred.predicates, inferred.constants, True)
-    try:
-        arities = predicates_of(f)
-    except ValueError as exc:
-        raise ValueError(str(exc)) from exc
+    fx = facts(f)
+    arities = fx.arities()
     if any(a != 1 for a in arities.values()):
         raise ValueError("equality extension still requires unary predicates")
-    k = len(arities)
-    bound = (1 << k) * max(1, quantifier_depth(f))
+    bound = (1 << len(arities)) * max(1, fx.depth)
     verdict = bounded_entails(sig, (), Not(f), bound, ceiling)
     if isinstance(verdict, HoldsUpTo):
         return Unsat()
@@ -531,10 +481,10 @@ def monadic_normal_form(
     form on the way would have more disjuncts than the ceiling, before it
     is built.
     """
-    facts = _facts(f)
-    if not facts.monadic:
+    fx = facts(f)
+    if not _monadic(fx):
         raise ValueError(f"not in the monadic fragment: {render(f)}")
-    stray = facts.frees - {var}
+    stray = fx.frees - {var}
     if stray:
         raise ValueError(
             "free variables beyond the target: " + ", ".join(sorted(stray))

@@ -13,6 +13,9 @@ pairs (rho and the difference, the body and rho) as one batch over that
 pair's two rows.  The batch scans the same predicates and holders in the
 same order as either entailment alone, so each countermodel in its
 evidence is that entailment's own first hit.
+
+Each public call validates its definition system once, then unfolds and
+builds the tree with the private forms `_unfold` and `_tree`.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .defsys import DefinitionSystem, PredicateDef, _require_valid, unfold
+from .defsys import DefinitionSystem, PredicateDef, _require_valid, _unfold
 from .monadic import _exact_verdicts, is_monadic
 from .semantics import (
     Countermodel,
@@ -39,11 +42,10 @@ from .syntax import (
     Var,
     big_and,
     conjuncts,
-    constants_of,
+    facts,
     free_vars,
     nnf,
     node_count,
-    predicates_of,
     render,
     subst,
 )
@@ -105,6 +107,11 @@ def porphyry_tree(
     stay outside the tree.
     """
     _require_valid(d)
+    return _tree(d)
+
+
+def _tree(d: DefinitionSystem) -> tuple[PorphyryTree, tuple[str, ...]]:
+    """porphyry_tree over a system already validated."""
     class_names = {
         e.name
         for e in d.entries
@@ -250,21 +257,22 @@ def classify_formula(
     s_index = d.index(species)
     earlier = {e.name for i, e in enumerate(d.entries) if i < s_index}
     allowed = d.base.names() | earlier
-    for name in set(predicates_of(rho)) | constants_of(rho):
+    fx = facts(rho)
+    for name in [*fx.arities(), *fx.consts]:
         if name not in allowed:
             raise ValueError(
                 f"{name} is not a base or earlier-defined symbol"
             )
     param = entry.params[0]
     rho = _align_free_var(rho, param)
-    rho_u = unfold(rho, d)
-    psi = unfold(Pred(species, (Var(param),)), d)
+    rho_u = _unfold(rho, d)
+    psi = _unfold(Pred(species, (Var(param),)), d)
 
-    tree, _ = porphyry_tree(d)
+    tree, _ = _tree(d)
     edge = next((e for e in tree.edges if e.species == species), None)
     delta_u = None
     if edge is not None:
-        delta_u = unfold(_align_free_var(edge.difference, param), d)
+        delta_u = _unfold(_align_free_var(edge.difference, param), d)
 
     pool = [rho_u, psi] + ([delta_u] if delta_u is not None else [])
     eng = _pick_engine(d.base, tuple(pool), bound, ceiling)
@@ -337,9 +345,9 @@ def proximate_genus(
     _require_valid(d)
     entry = _species_entry(d, species)
     param = entry.params[0]
-    psi = unfold(Pred(species, (Var(param),)), d)
+    psi = _unfold(Pred(species, (Var(param),)), d)
     parts = conjuncts(psi)
-    cand_formulas = {c: unfold(_class_formula(d, c, param), d) for c in candidates}
+    cand_formulas = {c: _unfold(_class_formula(d, c, param), d) for c in candidates}
     eng = _pick_engine(
         d.base, tuple([psi] + list(cand_formulas.values())), bound, ceiling
     )
@@ -424,7 +432,8 @@ def generators(
     for s in sentences:
         if free_vars(s):
             raise ValueError(f"not a sentence: {render(s)}")
-    unfolded = [unfold(s, d) for s in sentences]
+    _require_valid(d)
+    unfolded = [_unfold(s, d) for s in sentences]
     eng = _pick_engine(d.base, tuple(unfolded), bound, ceiling)
     n = len(unfolded)
     answers = iter(

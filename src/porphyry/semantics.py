@@ -32,9 +32,9 @@ import numpy as np
 
 from .syntax import (
     And,
-    Const,
     Eq,
     Exists,
+    Facts,
     Falsum,
     Forall,
     Formula,
@@ -47,8 +47,7 @@ from .syntax import (
     Term,
     Var,
     Verum,
-    free_vars,
-    quantifier_depth,
+    facts,
 )
 
 DEFAULT_CEILING = 2_000_000
@@ -226,8 +225,10 @@ def enumerate_models(
             yield _model(size, preds, consts, row)
 
 
-def _check_ceiling(bits: int, ceiling: int | None, times: int = 1) -> int:
-    """The count 2^bits * times, unless it exceeds the ceiling:
+def _check_ceiling(
+    bits: int, ceiling: int | None, times: int = 1, what: str = "interpretations"
+) -> int:
+    """The count 2^bits * times of `what`, unless it exceeds the ceiling:
     ResourceCeilingError.  The exponent is compared first, so a count far
     past the ceiling is built only when it has at most 2^16 bits."""
     limit = DEFAULT_CEILING if ceiling is None else ceiling
@@ -235,10 +236,10 @@ def _check_ceiling(bits: int, ceiling: int | None, times: int = 1) -> int:
         needed = (1 << bits) * times
         if needed <= limit:
             return needed
-        raise ResourceCeilingError(needed, limit)
+        raise ResourceCeilingError(needed, limit, what)
     if bits + times.bit_length() > _EXACT_BITS:
-        raise ResourceCeilingError(None, limit)
-    raise ResourceCeilingError((1 << bits) * times, limit)
+        raise ResourceCeilingError(None, limit, what)
+    raise ResourceCeilingError((1 << bits) * times, limit, what)
 
 
 def _models_per_chunk(sig: Signature, size: int, cells: int) -> int:
@@ -380,11 +381,11 @@ def _countermodels(sig, rows, queries, bound, ceiling):
         raise ValueError("bound must be at least 1")
     if not queries:
         return []
-    asked = _asked(rows, queries)
-    for f in asked:
-        _check_symbols(sig, f)
-    depth = max(quantifier_depth(f) for f in asked)
-    frees = sorted(frozenset().union(*(free_vars(f) for f in asked)))
+    asked = [facts(f) for f in _asked(rows, queries)]
+    for fx in asked:
+        _check_symbols(sig, fx)
+    depth = max(fx.depth for fx in asked)
+    frees = sorted(frozenset().union(*(fx.frees for fx in asked)))
     found: dict[int, tuple[FiniteModel, dict[str, int]]] = {}
     for size in range(1, bound + 1):
         if len(found) == len(queries):
@@ -418,28 +419,23 @@ def _recheck_hits(rows, queries, found) -> None:
             )
 
 
-def _check_symbols(sig: Signature, f: Formula) -> None:
-    """Raise ValueError naming the first undeclared or misapplied symbol."""
-    if isinstance(f, Pred):
-        arity = sig.arity(f.name)
+def _check_symbols(sig: Signature, fx: Facts) -> None:
+    """Raise ValueError naming an undeclared or misapplied symbol: the
+    first such predicate, in order of first occurrence, else the first
+    such constant."""
+    for name, arities in fx.preds.items():
+        arity = sig.arity(name)
         if arity is None:
-            raise ValueError(f"predicate {f.name} is not declared")
-        if arity != len(f.args):
+            raise ValueError(f"predicate {name} is not declared")
+        wrong = sorted(arities - {arity})
+        if wrong:
             raise ValueError(
-                f"predicate {f.name} has arity {arity}, "
-                f"applied to {len(f.args)} arguments"
+                f"predicate {name} has arity {arity}, "
+                f"applied to {wrong[0]} arguments"
             )
-    if isinstance(f, (Pred, Eq)):
-        for t in f.args if isinstance(f, Pred) else (f.left, f.right):
-            if isinstance(t, Const) and not sig.is_constant(t.name):
-                raise ValueError(f"constant {t.name} is not declared")
-    elif isinstance(f, Not):
-        _check_symbols(sig, f.body)
-    elif isinstance(f, (And, Or, Implies, Iff)):
-        _check_symbols(sig, f.left)
-        _check_symbols(sig, f.right)
-    elif isinstance(f, (Forall, Exists)):
-        _check_symbols(sig, f.body)
+    for name in fx.consts:
+        if not sig.is_constant(name):
+            raise ValueError(f"constant {name} is not declared")
 
 
 def _scan(sig, rows, queries, frees, depth, size, ceiling):

@@ -2,12 +2,19 @@
 
 Terms are variables or constants only; there are no function symbols of
 positive arity.  Formulas are immutable dataclasses compared structurally.
+
+One walk, `facts`, finds what a formula mentions: its predicates with
+their arities, constants, free variables, names, quantifier depth, use of
+equality and size.  `free_vars`, `predicates_of` and the other readers are
+one-line reads of it, and a caller that needs several facts of a formula
+takes them from one call.  The walk keeps an explicit stack, so no depth of
+nesting overflows the interpreter stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
 
 # ---------------------------------------------------------------- terms
@@ -187,88 +194,109 @@ class Signature:
 # ----------------------------------------------------------- traversals
 
 
-def subformulas(f: Formula) -> Iterator[Formula]:
-    """Every subformula of f in pre-order, left operand first.
+class Facts(NamedTuple):
+    """What one walk of a formula finds.
 
-    An explicit stack, not recursion: each node costs O(1) however deep
-    it sits, and no depth overflows the interpreter stack.
+    preds maps each predicate to the arities it is applied at, and consts
+    lists the constants, both in order of first occurrence in pre-order.
+    names holds every variable, constant and binder name.  depth is the
+    deepest quantifier nesting, equality whether `=` occurs, and nodes the
+    number of formula nodes (terms are not counted).
     """
-    stack = [f]
+
+    preds: dict[str, set[int]]
+    consts: tuple[str, ...]
+    frees: frozenset[str]
+    names: frozenset[str]
+    depth: int
+    equality: bool
+    nodes: int
+
+    def arities(self) -> dict[str, int]:
+        """Each predicate with its one arity; ValueError naming the first
+        predicate, in order of first occurrence, applied at two."""
+        out: dict[str, int] = {}
+        for name, arities in self.preds.items():
+            if len(arities) > 1:
+                raise ValueError(f"inconsistent arity for {name}")
+            out[name] = next(iter(arities))
+        return out
+
+
+def facts(f: Formula) -> Facts:
+    """The Facts of f, from one pre-order walk, left operand first, with an
+    explicit stack.  TypeError on a non-formula."""
+    preds: dict[str, set[int]] = {}
+    consts: dict[str, None] = {}
+    frees: set[str] = set()
+    names: set[str] = set()
+    depth = 0
+    equality = False
+    nodes = 0
+    stack: list[tuple[Formula, frozenset[str], int]] = [(f, frozenset(), 0)]
     while stack:
-        g = stack.pop()
-        yield g
+        g, bound, level = stack.pop()
+        nodes += 1
         if isinstance(g, BINARY):
-            stack.append(g.right)
-            stack.append(g.left)
-        elif isinstance(g, (Not, Forall, Exists)):
-            stack.append(g.body)
-
-
-def _terms_of(f: Formula) -> Iterator[Term]:
-    for g in subformulas(f):
-        if isinstance(g, Pred):
-            yield from g.args
-        elif isinstance(g, Eq):
-            yield g.left
-            yield g.right
+            stack.append((g.right, bound, level))
+            stack.append((g.left, bound, level))
+        elif isinstance(g, (Pred, Eq)):
+            if isinstance(g, Pred):
+                preds.setdefault(g.name, set()).add(len(g.args))
+                terms = g.args
+            else:
+                equality = True
+                terms = (g.left, g.right)
+            for t in terms:
+                names.add(t.name)
+                if isinstance(t, Const):
+                    consts[t.name] = None
+                elif t.name not in bound:
+                    frees.add(t.name)
+        elif isinstance(g, Not):
+            stack.append((g.body, bound, level))
+        elif isinstance(g, QUANTIFIERS):
+            depth = max(depth, level + 1)
+            names.add(g.var)
+            stack.append((g.body, bound | {g.var}, level + 1))
+        elif not isinstance(g, (Verum, Falsum)):
+            raise TypeError(f"not a formula: {g!r}")
+    return Facts(
+        preds,
+        tuple(consts),
+        frozenset(frees),
+        frozenset(names),
+        depth,
+        equality,
+        nodes,
+    )
 
 
 def free_vars(f: Formula) -> frozenset[str]:
-    """The variables of f that no quantifier above them binds, by an
-    explicit stack as in subformulas."""
-    out: set[str] = set()
-    stack: list[tuple[Formula, frozenset[str]]] = [(f, frozenset())]
-    while stack:
-        g, bound = stack.pop()
-        if isinstance(g, (Pred, Eq)):
-            terms = g.args if isinstance(g, Pred) else (g.left, g.right)
-            out.update(
-                t.name for t in terms if isinstance(t, Var) and t.name not in bound
-            )
-        elif isinstance(g, Not):
-            stack.append((g.body, bound))
-        elif isinstance(g, BINARY):
-            stack.append((g.right, bound))
-            stack.append((g.left, bound))
-        elif isinstance(g, QUANTIFIERS):
-            stack.append((g.body, bound | {g.var}))
-        elif not isinstance(g, (Verum, Falsum)):
-            raise TypeError(f"not a formula: {g!r}")
-    return frozenset(out)
+    """The variables of f that no quantifier above them binds."""
+    return facts(f).frees
 
 
 def is_sentence(f: Formula) -> bool:
-    return not free_vars(f)
+    return not facts(f).frees
 
 
 def constants_of(f: Formula) -> frozenset[str]:
-    return frozenset(t.name for t in _terms_of(f) if isinstance(t, Const))
+    return frozenset(facts(f).consts)
 
 
 def predicates_of(f: Formula) -> dict[str, int]:
     """Predicate symbols used in f with their observed arity."""
-    out: dict[str, int] = {}
-    for g in subformulas(f):
-        if isinstance(g, Pred):
-            seen = out.setdefault(g.name, len(g.args))
-            if seen != len(g.args):
-                raise ValueError(f"inconsistent arity for {g.name}")
-    return out
+    return facts(f).arities()
 
 
 def uses_equality(f: Formula) -> bool:
-    return any(isinstance(g, Eq) for g in subformulas(f))
+    return facts(f).equality
 
 
 def all_names(f: Formula) -> frozenset[str]:
     """Every variable, constant, and binder name occurring anywhere in f."""
-    names: set[str] = set()
-    for g in subformulas(f):
-        if isinstance(g, QUANTIFIERS):
-            names.add(g.var)
-    for t in _terms_of(f):
-        names.add(t.name)
-    return frozenset(names)
+    return facts(f).names
 
 
 # --------------------------------------------------------- substitution
@@ -325,8 +353,9 @@ def rename_apart(f: Formula, reserved: frozenset[str] = frozenset()) -> Formula:
     free variables, and from `reserved`.  Names are kept when already unique;
     clashes get the smallest fresh suffix, deterministically in pre-order.
     """
-    used = set(all_names(f)) | set(reserved)
-    taken = set(free_vars(f)) | set(reserved)
+    fx = facts(f)
+    used = set(fx.names) | set(reserved)
+    taken = set(fx.frees) | set(reserved)
 
     def walk(g: Formula, env: dict[str, str]) -> Formula:
         if isinstance(g, (Verum, Falsum)):
@@ -432,10 +461,18 @@ def big_or(parts: list[Formula] | tuple[Formula, ...]) -> Formula:
 
 
 def conjuncts(f: Formula) -> list[Formula]:
-    """Flatten nested conjunctions into a left-to-right list."""
-    if isinstance(f, And):
-        return conjuncts(f.left) + conjuncts(f.right)
-    return [f]
+    """Flatten nested conjunctions into a left-to-right list, by an
+    explicit stack."""
+    out: list[Formula] = []
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, And):
+            stack.append(g.right)
+            stack.append(g.left)
+        else:
+            out.append(g)
+    return out
 
 
 # ------------------------------------------------- normal form and size
@@ -491,25 +528,10 @@ def _neg(f: Formula) -> Formula:
 
 
 def quantifier_depth(f: Formula) -> int:
-    """Deepest nesting of quantifiers in f, by an explicit stack as in
-    subformulas."""
-    depth = 0
-    stack = [(f, 0)]
-    while stack:
-        g, level = stack.pop()
-        if isinstance(g, Not):
-            stack.append((g.body, level))
-        elif isinstance(g, BINARY):
-            stack.append((g.right, level))
-            stack.append((g.left, level))
-        elif isinstance(g, QUANTIFIERS):
-            depth = max(depth, level + 1)
-            stack.append((g.body, level + 1))
-        elif not isinstance(g, (Verum, Falsum, Pred, Eq)):
-            raise TypeError(f"not a formula: {g!r}")
-    return depth
+    """Deepest nesting of quantifiers in f."""
+    return facts(f).depth
 
 
 def node_count(f: Formula) -> int:
     """Number of formula nodes; term nodes are not counted."""
-    return sum(1 for _ in subformulas(f))
+    return facts(f).nodes

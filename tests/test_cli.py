@@ -447,21 +447,27 @@ def test_ceiling_past_the_digit_limit_exits_cleanly(capsys, tmp_path):
     )
     # 2^(2^40) supports, and 2^(2^40) interpretations of R/40 at size 2.
     r40 = "R(" + ", ".join(["x"] * 40) + ")"
-    for argv in (
-        [
-            "sat",
-            "--formula",
-            " & ".join(f"M{i}(x)" for i in range(40)),
-            "--sig",
-            " ".join(f"pred M{i}/1;" for i in range(40)),
-        ],
-        ["entail", "--lhs", f"forall x. {r40}", "--rhs", f"exists x. {r40}",
-         "--sig", "pred R/40;"],
+    for argv, what in (
+        (
+            [
+                "sat",
+                "--formula",
+                " & ".join(f"M{i}(x)" for i in range(40)),
+                "--sig",
+                " ".join(f"pred M{i}/1;" for i in range(40)),
+            ],
+            "supports",
+        ),
+        (
+            ["entail", "--lhs", f"forall x. {r40}", "--rhs", f"exists x. {r40}",
+             "--sig", "pred R/40;"],
+            "interpretations",
+        ),
     ):
         code, out, err = run_child("-c", CAPPED_MAIN, *argv)
         assert (code, out) == (cli.EXIT_ERROR, ""), err
         assert err == (
-            "error: enumeration needs at least 2^65536 interpretations, "
+            f"error: enumeration needs at least 2^65536 {what}, "
             "ceiling is 2000000\n"
         )
 

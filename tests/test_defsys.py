@@ -6,6 +6,7 @@ import pytest
 from helpers import (
     all_models,
     naive_eval,
+    occurring,
     random_mixed_model,
     random_mixed_system,
 )
@@ -364,3 +365,19 @@ def test_system_to_dsl_round_trip():
     block = "defsys {\n" + pf.system.to_dsl() + "\n}"
     back = parse(pf.signature.to_dsl() + "\n" + block)
     assert back.system == pf.system
+
+
+def test_dependency_graph_matches_pairwise_construction():
+    # Each entry against every entry name in order, skipping repeats.
+    rng = random.Random(23)
+    for _ in range(60):
+        d = random_mixed_system(rng, rng.randrange(1, 9))
+        edges = []
+        for e in d.entries:
+            preds, consts, _ = occurring(e.body)
+            for name in (x.name for x in d.entries):
+                if name in preds | consts and (e.name, name) not in edges:
+                    edges.append((e.name, name))
+        g = dependency_graph(d)
+        assert g.edges == tuple(edges)
+        assert g.nodes == tuple(e.name for e in d.entries)

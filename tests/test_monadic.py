@@ -296,6 +296,9 @@ def test_decide_sat_ceiling():
     with pytest.raises(ResourceCeilingError) as exc:
         decide_sat(uses_all, sig5)
     assert exc.value.needed == 2 ** 32
+    assert str(exc.value) == (
+        "enumeration needs 4294967296 supports, ceiling is 2000000"
+    )
     # 2^(2^14) supports: past the digits Python prints, still this error.
     uses_14 = big_and(tuple(Pred(f"P{i}", (Var("x"),)) for i in range(14)))
     with pytest.raises(ResourceCeilingError) as exc:

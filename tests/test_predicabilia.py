@@ -1,5 +1,6 @@
 import pytest
 
+import porphyry.defsys
 from helpers import all_models, naive_eval
 from porphyry import (
     Accident,
@@ -19,6 +20,7 @@ from porphyry import (
     Signature,
     Unrelated,
     Var,
+    big_and,
     classify_formula,
     evaluate,
     expand_model,
@@ -30,6 +32,7 @@ from porphyry import (
     unfold,
 )
 from porphyry.magma import DEMO_SYSTEM
+from porphyry.syntax import conjuncts
 
 SIG = Signature((("M1", 1), ("M2", 1)), (), False)
 
@@ -274,3 +277,39 @@ def test_opposition_partitions_genus():
             }
             assert grp & anti == set()
             assert grp | anti == mon
+
+
+def test_public_calls_validate_once(monkeypatch):
+    calls = []
+    validate = porphyry.defsys.validate
+
+    def counted(d):
+        calls.append(d)
+        return validate(d)
+
+    monkeypatch.setattr(porphyry.defsys, "validate", counted)
+    for run in (
+        lambda: classify_formula(P("Comm", "x"), "Ab", DEMO_SYSTEM),
+        lambda: proximate_genus("Ab", ["Grp", "Mon"], DEMO_SYSTEM),
+        lambda: generators(
+            [Forall("x", P("Ab", "x")), Exists("x", P("Grp", "x"))],
+            DEMO_SYSTEM,
+        ),
+    ):
+        calls.clear()
+        run()
+        assert calls == [DEMO_SYSTEM]
+
+
+def test_tree_of_a_deep_body():
+    # 5,000 conjuncts built in code, past what the parser accepts.
+    rest = [P(f"M{i % 2 + 1}", "x") for i in range(5000)]
+    body = big_and([*rest[:2500], P("G", "x"), *rest[2500:]])
+    d = DefinitionSystem(
+        SIG,
+        (PredicateDef("G", ("x",), P("M1", "x")), PredicateDef("S", ("x",), body)),
+    )
+    tree, unguarded = porphyry_tree(d)
+    assert [(e.species, e.genus) for e in tree.edges] == [("S", "G")]
+    # == on two deep trees would recurse: compare the conjuncts instead.
+    assert conjuncts(tree.edges[0].difference) == rest and unguarded == ()

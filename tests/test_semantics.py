@@ -243,6 +243,16 @@ def test_bounded_entails_checks_symbols():
             bounded_entails(sig, [f], Verum(), 2)
 
 
+def test_bounded_entails_checks_symbols_of_a_deep_chain():
+    # Built in code, past what the parser accepts: the check does not recurse.
+    sig = Signature((("R", 2),), (), False)
+    f = Pred("Q", (Var("x"),))
+    for _ in range(3000):
+        f = And(f, Pred("R", (Var("x"), Var("x"))))
+    with pytest.raises(ValueError, match="predicate Q is not declared"):
+        bounded_entails(sig, [f], Verum(), 2)
+
+
 def _scalar_scan(sig, premises, conclusion, bound):
     """The plain loop the scan must agree with: every model in enumeration
     order, every assignment of the sorted free variables, evaluate."""

@@ -30,7 +30,7 @@ from porphyry import (
     rename_apart,
     subst,
 )
-from porphyry.syntax import subformulas
+from porphyry.syntax import Facts, conjuncts, facts
 
 VARS = ("x", "y", "z")
 PREDS = ("M1", "M2")
@@ -134,25 +134,89 @@ def _subformulas_reference(f):
     return [f]
 
 
-def test_subformulas_pre_order():
+def _facts_reference(f):
+    """Every field of facts(f), read off the recursive pre-order walk."""
+    nodes = _subformulas_reference(f)
+    preds, consts, names = {}, {}, set()
+    for g in nodes:
+        if isinstance(g, Pred):
+            preds.setdefault(g.name, set()).add(len(g.args))
+        if isinstance(g, (Forall, Exists)):
+            names.add(g.var)
+        if isinstance(g, (Pred, Eq)):
+            for t in g.args if isinstance(g, Pred) else (g.left, g.right):
+                names.add(t.name)
+                if isinstance(t, Const):
+                    consts.setdefault(t.name)
+    return Facts(
+        preds,
+        tuple(consts),
+        frozenset(occurring(f)[2]),
+        frozenset(names),
+        _depth_reference(f),
+        any(isinstance(g, Eq) for g in nodes),
+        len(nodes),
+    )
+
+
+def test_facts_match_recursive_reference():
     rng = random.Random(20)
-    for _ in range(300):
-        f = random_formula(rng, ["M1", "M2"], scope=("x",), max_q=3, depth=7)
-        assert list(subformulas(f)) == _subformulas_reference(f)
+    for i in range(300):
+        f = random_formula(
+            rng, ["M1", "M2"], scope=["x"], max_q=3, depth=7, consts=["c", "d"]
+        )
+        # Mix in equality and a predicate of another arity.
+        if i % 3 == 0:
+            f = Or(f, Pred("R", (Var("x"), Const("e"))))
+        elif i % 3 == 1:
+            f = And(Eq(Var("y"), Const("d")), f)
+        got, want = facts(f), _facts_reference(f)
+        assert got == want
+        # First-occurrence order, which == on dicts does not compare.
+        assert list(got.preds.items()) == list(want.preds.items())
     f = Forall("x", Implies(Eq(Var("x"), Const("c")), Not(P("M1", "x"))))
-    assert [type(g).__name__ for g in subformulas(f)] == [
-        "Forall", "Implies", "Eq", "Not", "Pred"
-    ]
+    assert facts(f) == Facts(
+        {"M1": {1}}, ("c",), frozenset(), frozenset({"x", "c"}), 1, True, 5
+    )
 
 
-def test_subformulas_deep_chain():
+def test_facts_first_occurrence_is_pre_order():
+    f = And(
+        Or(Pred("B", (Const("k"),)), Pred("A", (Var("x"), Const("j")))),
+        Exists("y", Pred("B", (Var("y"), Const("i")))),
+    )
+    fx = facts(f)
+    assert list(fx.preds.items()) == [("B", {1, 2}), ("A", {2})]
+    assert fx.consts == ("k", "j", "i")
+    assert fx.frees == {"x"}
+    with pytest.raises(ValueError, match="inconsistent arity for B"):
+        fx.arities()
+
+
+def test_facts_deep_chain():
+    # Built in code, past what the parser accepts: the walk does not recurse.
     f = P("M1", "x")
+    for i in range(5000):
+        f = And(f, Exists("y", P("M2", "y")) if i % 2 else P("M2", f"z{i % 3}"))
+    f = Forall("w", Or(f, Eq(Var("w"), Const("c"))))
+    fx = facts(f)
+    assert fx.nodes == 12504 == node_count(f)
+    assert list(fx.preds) == ["M1", "M2"] and fx.consts == ("c",)
+    assert fx.frees == {"x", "z0", "z1", "z2"} and fx.depth == 2
+    assert fx.names == {"w", "x", "y", "z0", "z1", "z2", "c"} and fx.equality
+    g = P("M1", "x")
     for _ in range(5000):
-        f = And(f, P("M2", "x"))
-    walked = list(subformulas(f))
-    assert len(walked) == 10001
-    assert walked[0] is f and walked[-1] == P("M2", "x")
-    assert node_count(f) == 10001
+        g = Not(Exists("x", g))
+    assert facts(g).depth == 5000 and facts(g).nodes == 10001
+
+
+def test_conjuncts_deep_chain():
+    parts = [P(f"M{i % 2 + 1}", f"x{i}") for i in range(5000)]
+    assert conjuncts(big_and(parts)) == parts
+    a, b, c, d = parts[:4]
+    assert conjuncts(And(And(a, Or(b, c)), And(d, Not(And(a, b))))) == [
+        a, Or(b, c), d, Not(And(a, b))
+    ]
 
 
 def _depth_reference(f):
@@ -185,6 +249,8 @@ def test_free_vars_and_quantifier_depth_deep_chain():
 
 def test_free_vars_and_quantifier_depth_reject_non_formulas():
     for bad in (And(P("M1", "x"), "M2(x)"), Not(3), Forall("x", None)):
+        with pytest.raises(TypeError):
+            facts(bad)
         with pytest.raises(TypeError):
             free_vars(bad)
         with pytest.raises(TypeError):
