@@ -380,7 +380,7 @@ def _describe_atom(
         )
     waist = fresh_name(var, used)
     used.add(waist)
-    inst = rename_apart(body, reserved=frozenset(used))
+    inst = rename_apart(body, reserved=used)
     used |= all_names(inst)
     rest = _replace_const(atom, target, Var(waist))
     return Exists(
@@ -442,7 +442,7 @@ class _Expander:
 
     def _instance(self, atom: Pred) -> Formula:
         params, pbody = self.preds[atom.name]
-        inst = rename_apart(pbody, reserved=frozenset(self.used))
+        inst = rename_apart(pbody, reserved=self.used)
         self.used |= all_names(inst)
         return subst(inst, dict(zip(params, atom.args)))
 

@@ -64,7 +64,6 @@ from .semantics import (
     _recheck_hits,
     _Tensors,
     bounded_entails,
-    evaluate,
     recheck,
 )
 from .syntax import (
@@ -345,20 +344,12 @@ def decide_entails(
 
     Shared free variables are read universally, as in the bounded engine:
     a countermodel provides one assignment falsifying the implication.
+    This is the one-query case of `_exact_verdicts`, so a ValueError for a
+    formula outside the monadic fragment renders the side that is.
     """
     if sig is None:
         sig = _infer_signature((premise, conclusion))
-    test = And(premise, Not(conclusion))
-    verdict = decide_sat(test, sig, ceiling)
-    if isinstance(verdict, Unsat):
-        return Holds()
-    env = dict(verdict.assignment)
-    recheck(
-        evaluate(premise, verdict.model, env)
-        and not evaluate(conclusion, verdict.model, env),
-        "countermodel must satisfy the premise and refute the conclusion",
-    )
-    return Countermodel(verdict.model, verdict.assignment)
+    return _exact_verdicts([premise, conclusion], [((0,), 1)], sig, ceiling)[0]
 
 
 # ------------------------------------------------------------ normal form

@@ -22,6 +22,14 @@ formula whose syntax tree is more than MAX_DEPTH connectives and quantifiers
 deep, such as a chain of thousands of `&`: every later walk over a formula
 recurses once per level of its tree.
 
+One compiled regex splits the text into tokens.  A keyword or a punctuation
+mark is its own kind; anything else is a NAME (a letter or `_`, then
+letters, digits and `_`), an INT (a run of Unicode decimal digits) or the
+EOF.  Blanks are space, tab, `\\r` and `\\n` only; any other character
+outside a comment is a ParseError.  A token keeps only its character
+offset: the line and column of a ParseError (from 1, a tab counting as
+one column) are worked out from it when the error is raised.
+
 Definition bodies may mention symbols that are not declared (yet); ordering
 and arity discipline is the validator's job, so broken systems still parse
 and can be reported on.  Standalone formulas (assert, the formula-parsing
@@ -36,8 +44,9 @@ or `c = {3};`.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .defsys import ConstantDef, Definition, DefinitionSystem, PredicateDef
 from .semantics import FiniteModel
@@ -78,64 +87,56 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
+def _error(message: str, text: str, pos: int) -> ParseError:
+    """A ParseError at character offset `pos` of `text`: lines and columns
+    count from 1, and a tab is one column."""
+    return ParseError(
+        message, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+    )
+
+
+class Token(NamedTuple):
+    # The text itself for a keyword or a punctuation mark; otherwise
+    # "NAME", "INT", or "EOF" (whose text is empty).
     kind: str
     text: str
-    line: int
-    col: int
+    # Character offset into the parsed text.
+    pos: int
 
 
 KEYWORDS = frozenset(
     "sig defsys model assert def defconst pred const equality universe "
     "forall exists true false".split()
 )
-_PUNCT = ("<->", "->", ":=", "(", ")", "{", "}", ",", ";", ".", "=", "!", "&", "|", "/")
+# Unnamed branches are skipped.  \d is the Unicode decimal digits, which
+# int() reads; \w is any character where str.isalnum() holds, or `_`, and a
+# name must also start with a letter or `_`.  The last branch catches every
+# other character, which finditer would otherwise skip.
+_TOKEN = re.compile(
+    r"[ \t\r\n]+|#[^\n]*"
+    r"|(?P<INT>\d+)|(?P<NAME>\w+)|(?P<PUNCT><->|->|:=|[(){},;.=!&|/])|(?P<BAD>.)"
+)
 
 
 def tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i, line, col = i + 1, line + 1, 1
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
             continue
-        if ch in " \t\r":
-            i, col = i + 1, col + 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "KEYWORD" if word in KEYWORDS else "NAME"
-            toks.append(Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(Token("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                toks.append(Token("PUNCT", p, line, col))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(Token("EOF", "", line, col))
+        word = m.group()
+        if kind == "NAME" and (word[0].isalpha() or word[0] == "_"):
+            if word in KEYWORDS:
+                kind = word
+        elif kind == "PUNCT":
+            kind = word
+        elif kind != "INT":
+            raise _error(f"unexpected character {word[0]!r}", text, m.start())
+        toks.append(Token(kind, word, m.start()))
+    # A comment that ends the text leaves end of input at its `#`.
+    last_line = text.rfind("\n") + 1
+    end = text.find("#", last_line)
+    toks.append(Token("EOF", "", len(text) if end < 0 else end))
     return toks
 
 
@@ -149,6 +150,7 @@ class ParsedFile:
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.toks = tokenize(text)
         self.pos = 0
         self.depth = 0
@@ -166,40 +168,36 @@ class _Parser:
             self.pos += 1
         return t
 
-    def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind != "NAME"
+    def at(self, kind: str) -> bool:
+        return self.peek().kind == kind
 
-    def eat(self, text: str) -> bool:
-        if self.at(text):
+    def eat(self, kind: str) -> bool:
+        if self.at(kind):
             self.advance()
             return True
         return False
 
-    def expect(self, text: str) -> Token:
+    def expect(self, kind: str, what: str = "") -> Token:
         t = self.peek()
-        if t.text != text or t.kind == "NAME":
-            got = t.text if t.kind != "EOF" else "end of input"
-            raise ParseError(f"expected {text!r}, got {got!r}", t.line, t.col)
+        if t.kind != kind:
+            got = t.text or "end of input"
+            raise self.fail(f"expected {what or repr(kind)}, got {got!r}")
         return self.advance()
 
     def expect_name(self) -> Token:
-        t = self.peek()
-        if t.kind != "NAME":
-            got = t.text if t.kind != "EOF" else "end of input"
-            raise ParseError(f"expected a name, got {got!r}", t.line, t.col)
-        return self.advance()
+        return self.expect("NAME", "a name")
 
     def expect_int(self) -> int:
-        t = self.peek()
-        if t.kind != "INT":
-            got = t.text if t.kind != "EOF" else "end of input"
-            raise ParseError(f"expected an integer, got {got!r}", t.line, t.col)
-        self.advance()
-        return int(t.text)
+        t = self.expect("INT", "an integer")
+        try:
+            return int(t.text)
+        except ValueError:  # past the interpreter's integer digit limit
+            message = f"integer of {len(t.text)} digits is too long"
+            raise self.fail(message, t) from None
 
-    def fail(self, message: str) -> ParseError:
-        t = self.peek()
-        return ParseError(message, t.line, t.col)
+    def fail(self, message: str, tok: Token | None = None) -> ParseError:
+        """A ParseError at `tok`, by default the next token."""
+        return _error(message, self.text, (tok or self.peek()).pos)
 
     # -------------------------------------------------------- file level
 
@@ -208,23 +206,23 @@ class _Parser:
         entries: list[Definition] = []
         models: dict[str, FiniteModel] = {}
         asserts: list[Formula] = []
-        while self.peek().kind != "EOF":
+        while not self.at("EOF"):
             t = self.peek()
-            if t.text == "sig":
+            if t.kind == "sig":
                 if sig is not None:
                     raise self.fail("signature already declared")
                 self.advance()
                 sig = self.parse_sig_body()
-            elif t.text == "defsys":
+            elif t.kind == "defsys":
                 self.advance()
                 entries.extend(self.parse_defsys_body(self.current_sig(sig), entries))
-            elif t.text == "model":
+            elif t.kind == "model":
                 self.advance()
                 name, m = self.parse_model(self.current_sig(sig))
                 if name in models:
-                    raise ParseError(f"model {name} already declared", t.line, t.col)
+                    raise self.fail(f"model {name} already declared", t)
                 models[name] = m
-            elif t.text == "assert":
+            elif t.kind == "assert":
                 self.advance()
                 system = DefinitionSystem(self.current_sig(sig), tuple(entries))
                 f = self.formula(_Scope(system, strict=True))
@@ -254,34 +252,23 @@ class _Parser:
         equality = False
         seen: set[str] = set()
         while not self.eat("}"):
-            t = self.peek()
             if self.eat("pred"):
                 name = self.expect_name()
                 self.expect("/")
                 arity = self.expect_int()
                 if name.text in seen:
-                    raise ParseError(
-                        f"symbol {name.text} already declared", name.line, name.col
-                    )
+                    raise self.fail(f"symbol {name.text} already declared", name)
                 seen.add(name.text)
                 preds.append((name.text, arity))
             elif self.eat("const"):
                 name = self.expect_name()
                 if name.text in seen:
-                    raise ParseError(
-                        f"symbol {name.text} already declared", name.line, name.col
-                    )
+                    raise self.fail(f"symbol {name.text} already declared", name)
                 seen.add(name.text)
                 consts.append(name.text)
-            elif self.eat("equality"):
-                equality = True
             else:
-                got = t.text if t.kind != "EOF" else "end of input"
-                raise ParseError(
-                    f"expected 'pred', 'const', or 'equality', got {got!r}",
-                    t.line,
-                    t.col,
-                )
+                self.expect("equality", "'pred', 'const', or 'equality'")
+                equality = True
             self.expect(";")
         return Signature(tuple(preds), tuple(consts), equality)
 
@@ -302,9 +289,7 @@ class _Parser:
                     while True:
                         p = self.expect_name()
                         if p.text in params:
-                            raise ParseError(
-                                f"duplicate parameter {p.text}", p.line, p.col
-                            )
+                            raise self.fail(f"duplicate parameter {p.text}", p)
                         self.check_binder(p, scope)
                         params.append(p.text)
                         if not self.eat(","):
@@ -320,9 +305,7 @@ class _Parser:
                 self.expect(":=")
                 rhs = self.expect_name()
                 if rhs.text not in known:
-                    raise ParseError(
-                        f"{rhs.text} is not a declared constant", rhs.line, rhs.col
-                    )
+                    raise self.fail(f"{rhs.text} is not a declared constant", rhs)
                 self.expect(";")
                 var = fresh_name("y", sig.names() | {name.text, rhs.text})
                 out.append(
@@ -336,9 +319,7 @@ class _Parser:
 
     def check_binder(self, tok: Token, scope: "_Scope") -> None:
         if tok.text in scope.declared:
-            raise ParseError(
-                f"{tok.text} shadows a declared symbol", tok.line, tok.col
-            )
+            raise self.fail(f"{tok.text} shadows a declared symbol", tok)
 
     # ------------------------------------------------------------ models
 
@@ -347,10 +328,10 @@ class _Parser:
         self.expect("{")
         kw = self.peek()
         if not self.eat("universe"):
-            raise ParseError("model must open with 'universe'", kw.line, kw.col)
+            raise self.fail("model must open with 'universe'")
         size = self.expect_int()
         if size < 1:
-            raise ParseError("universe must have at least 1 element", kw.line, kw.col)
+            raise self.fail("universe must have at least 1 element", kw)
         self.expect(";")
         preds: dict[str, frozenset[tuple[int, ...]]] = {}
         consts: dict[str, int] = {}
@@ -359,13 +340,9 @@ class _Parser:
             arity = sig.arity(sym.text)
             is_const = sig.is_constant(sym.text)
             if arity is None and not is_const:
-                raise ParseError(
-                    f"{sym.text} is not a base signature symbol", sym.line, sym.col
-                )
+                raise self.fail(f"{sym.text} is not a base signature symbol", sym)
             if sym.text in preds or sym.text in consts:
-                raise ParseError(
-                    f"{sym.text} assigned twice", sym.line, sym.col
-                )
+                raise self.fail(f"{sym.text} assigned twice", sym)
             self.expect("=")
             if is_const:
                 consts[sym.text] = self.parse_const_value(size)
@@ -376,10 +353,8 @@ class _Parser:
             preds.setdefault(pname, frozenset())
         for cname in sig.constants:
             if cname not in consts:
-                raise ParseError(
-                    f"constant {cname} not interpreted in model {name.text}",
-                    name.line,
-                    name.col,
+                raise self.fail(
+                    f"constant {cname} not interpreted in model {name.text}", name
                 )
         return name.text, FiniteModel(size, consts, preds)
 
@@ -387,9 +362,7 @@ class _Parser:
         t = self.peek()
         v = self.expect_int()
         if not 0 <= v < size:
-            raise ParseError(
-                f"element {v} outside universe of size {size}", t.line, t.col
-            )
+            raise self.fail(f"element {v} outside universe of size {size}", t)
         return v
 
     def parse_const_value(self, size: int) -> int:
@@ -418,10 +391,8 @@ class _Parser:
             else:
                 tup = (self.parse_element(size),)
             if len(tup) != arity:
-                raise ParseError(
-                    f"tuple of length {len(tup)} for a /{arity} predicate",
-                    t.line,
-                    t.col,
+                raise self.fail(
+                    f"tuple of length {len(tup)} for a /{arity} predicate", t
                 )
             tuples.add(tup)
             if not self.eat(","):
@@ -484,13 +455,11 @@ class _Parser:
         if self.eat("!"):
             return self.grown(Not(self.nested(self.unary, scope)))
         t = self.peek()
-        if t.text in ("forall", "exists") and t.kind == "KEYWORD":
+        if t.kind in ("forall", "exists"):
             self.advance()
             var = self.expect_name()
             if var.text in scope.bound:
-                raise ParseError(
-                    f"{var.text} is already bound here", var.line, var.col
-                )
+                raise self.fail(f"{var.text} is already bound here", var)
             self.check_binder(var, scope)
             self.expect(".")
             scope.bound.add(var.text)
@@ -498,24 +467,21 @@ class _Parser:
                 body = self.nested(self.formula, scope)
             finally:
                 scope.bound.discard(var.text)
-            cls = Forall if t.text == "forall" else Exists
+            cls = Forall if t.kind == "forall" else Exists
             return self.grown(cls(var.text, body))
         return self.atom(scope)
 
     def atom(self, scope: "_Scope") -> Formula:
         self.height = 0
-        t = self.peek()
         if self.eat("("):
             inner = self.nested(self.formula, scope)
             self.expect(")")
             return inner
-        if t.kind == "KEYWORD" and t.text in ("true", "false"):
-            self.advance()
-            return Verum() if t.text == "true" else Falsum()
-        if t.kind != "NAME":
-            got = t.text if t.kind != "EOF" else "end of input"
-            raise ParseError(f"expected a formula, got {got!r}", t.line, t.col)
-        name = self.advance()
+        if self.eat("true"):
+            return Verum()
+        if self.eat("false"):
+            return Falsum()
+        name = self.expect("NAME", "a formula")
         if self.eat("("):
             args: list[Term] = []
             if not self.at(")"):
@@ -579,9 +545,7 @@ class _Scope:
         if tok.text in self.const_names:
             return Const(tok.text)
         if tok.text in self.pred_arity:
-            raise ParseError(
-                f"predicate {tok.text} used as a term", tok.line, tok.col
-            )
+            raise p.fail(f"predicate {tok.text} used as a term", tok)
         return Var(tok.text)
 
     def check_application(self, tok: Token, arity: int, p: _Parser) -> None:
@@ -589,22 +553,16 @@ class _Scope:
             return
         declared = self.pred_arity.get(tok.text)
         if declared is None:
-            raise ParseError(f"unknown predicate {tok.text}", tok.line, tok.col)
+            raise p.fail(f"unknown predicate {tok.text}", tok)
         if declared != arity:
-            raise ParseError(
-                f"{tok.text} is declared /{declared}, applied to {arity} "
-                "arguments",
-                tok.line,
-                tok.col,
+            raise p.fail(
+                f"{tok.text} is declared /{declared}, applied to {arity} arguments",
+                tok,
             )
 
     def check_equality(self, tok: Token, p: _Parser) -> None:
         if not self.equality_ok:
-            raise ParseError(
-                "equality used but not declared in the signature",
-                tok.line,
-                tok.col,
-            )
+            raise p.fail("equality used but not declared in the signature", tok)
 
     def bare_name(self, tok: Token, p: _Parser) -> Formula:
         declared = self.pred_arity.get(tok.text)
@@ -612,18 +570,12 @@ class _Scope:
             return Pred(tok.text, ())
         if self.strict:
             if declared is not None:
-                raise ParseError(
-                    f"{tok.text} is declared /{declared} and needs arguments",
-                    tok.line,
-                    tok.col,
+                raise p.fail(
+                    f"{tok.text} is declared /{declared} and needs arguments", tok
                 )
-            raise ParseError(
-                f"unknown predicate {tok.text}", tok.line, tok.col
-            )
+            raise p.fail(f"unknown predicate {tok.text}", tok)
         if tok.text in self.bound or tok.text in self.const_names:
-            raise ParseError(
-                f"{tok.text} is a term, not a formula", tok.line, tok.col
-            )
+            raise p.fail(f"{tok.text} is a term, not a formula", tok)
         return Pred(tok.text, ())
 
 
@@ -651,9 +603,8 @@ def parse_formula(
         system = DefinitionSystem(sig, ())
     p = _Parser(text)
     f = p.formula(_Scope(system, strict=True))
-    end = p.peek()
-    if end.kind != "EOF":
-        raise ParseError(f"trailing input {end.text!r}", end.line, end.col)
+    if not p.at("EOF"):
+        raise p.fail(f"trailing input {p.peek().text!r}")
     reserved = system.base.names() | {e.name for e in system.entries}
     return rename_apart(f, frozenset(reserved))
 
@@ -681,28 +632,16 @@ def parse_formulas_infer(
             if tok.text in self.bound:
                 return Var(tok.text)
             if tok.text in preds:
-                raise ParseError(
-                    f"{tok.text} used both as predicate and term",
-                    tok.line,
-                    tok.col,
-                )
+                raise p.fail(f"{tok.text} used both as predicate and term", tok)
             consts.setdefault(tok.text, None)
             return Const(tok.text)
 
         def check_application(self, tok: Token, arity: int, p: _Parser) -> None:
             if tok.text in consts:
-                raise ParseError(
-                    f"{tok.text} used both as predicate and term",
-                    tok.line,
-                    tok.col,
-                )
+                raise p.fail(f"{tok.text} used both as predicate and term", tok)
             seen = preds.setdefault(tok.text, arity)
             if seen != arity:
-                raise ParseError(
-                    f"{tok.text} applied with arities {seen} and {arity}",
-                    tok.line,
-                    tok.col,
-                )
+                raise p.fail(f"{tok.text} applied with arities {seen} and {arity}", tok)
 
         def check_equality(self, tok: Token, p: _Parser) -> None:
             nonlocal equality
@@ -710,15 +649,9 @@ def parse_formulas_infer(
 
         def bare_name(self, tok: Token, p: _Parser) -> Formula:
             if tok.text in self.bound:
-                raise ParseError(
-                    f"{tok.text} is a term, not a formula", tok.line, tok.col
-                )
+                raise p.fail(f"{tok.text} is a term, not a formula", tok)
             if tok.text in consts:
-                raise ParseError(
-                    f"{tok.text} used both as predicate and term",
-                    tok.line,
-                    tok.col,
-                )
+                raise p.fail(f"{tok.text} used both as predicate and term", tok)
             self.check_application(tok, 0, p)
             return Pred(tok.text, ())
 
@@ -726,9 +659,8 @@ def parse_formulas_infer(
     for text in texts:
         p = _Parser(text)
         f = p.formula(_InferScope())
-        end = p.peek()
-        if end.kind != "EOF":
-            raise ParseError(f"trailing input {end.text!r}", end.line, end.col)
+        if not p.at("EOF"):
+            raise p.fail(f"trailing input {p.peek().text!r}")
         raw.append(f)
     sig = Signature(
         tuple(preds.items()), tuple(consts), equality

@@ -355,18 +355,23 @@ def proximate_genus(
     def members(mask: int) -> list[int]:
         return [b for b in range(len(parts)) if (mask >> b) & 1]
 
-    def subset_key(mask: int) -> tuple[int, int]:
-        return (node_count(nnf(big_and([parts[b] for b in members(mask)]))), mask)
-
     # Rows: the body, then each candidate, then each conjunct of the body.
     rows = [psi, *(cand_formulas[c] for c in candidates), *parts]
     first_part = 1 + len(candidates)
     contains = eng.holds(rows, [((0,), 1 + i) for i in range(len(candidates))])
+    pending = [i for i in range(len(candidates)) if contains[i]]
+    # The cost of each sub-conjunction by mask, node_count(nnf(big_and(...))),
+    # is additive: the parts' costs plus one `&` between each two, and 1 for
+    # the empty one (`true`).  Ties go by mask, as the sort is stable.
+    cost = [1]
+    if pending:
+        for part in parts:
+            c = node_count(nnf(part))
+            cost += [c if mask == 0 else k + 1 + c for mask, k in enumerate(cost)]
+    order = sorted(range(len(cost)), key=cost.__getitem__)
     # Sub-conjunctions in cost order, asked in windows of doubling width for
     # every containing candidate still open, so the cheapest that recovers
     # the body is found without asking much past it.
-    pending = [i for i in range(len(candidates)) if contains[i]]
-    order = sorted(range(1 << len(parts)), key=subset_key) if pending else []
     best: dict[int, int] = {}
     start, width = 0, 1
     while pending and start < len(order):
@@ -390,7 +395,7 @@ def proximate_genus(
             scores.append(CandidateScore(c, False, None, None))
             continue
         delta = big_and([parts[b] for b in members(best[i])])
-        scores.append(CandidateScore(c, True, delta, node_count(nnf(delta))))
+        scores.append(CandidateScore(c, True, delta, cost[best[i]]))
     containing = [s for s in scores if s.contains]
     if not containing:
         raise ValueError(f"no candidate contains {species}")

@@ -348,12 +348,16 @@ def subst(f: Formula, mapping: Mapping[str, Term]) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def rename_apart(f: Formula, reserved: frozenset[str] = frozenset()) -> Formula:
+def rename_apart(
+    f: Formula, reserved: set[str] | frozenset[str] = frozenset()
+) -> Formula:
     """Rename binders so all bound names are distinct from each other, from
     free variables, and from `reserved`.  Names are kept when already unique;
     clashes get the smallest fresh suffix, deterministically in pre-order.
     """
     fx = facts(f)
+    # Every name in `taken` is also in `used`: both start from `reserved`,
+    # every free variable is a name, and each binder joins both.
     used = set(fx.names) | set(reserved)
     taken = set(fx.frees) | set(reserved)
 
@@ -370,7 +374,7 @@ def rename_apart(f: Formula, reserved: frozenset[str] = frozenset()) -> Formula:
             return type(g)(walk(g.left, env), walk(g.right, env))
         if isinstance(g, QUANTIFIERS):
             if g.var in taken:
-                name = fresh_name(g.var, used | taken)
+                name = fresh_name(g.var, used)
             else:
                 name = g.var
             taken.add(name)

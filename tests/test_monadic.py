@@ -373,6 +373,16 @@ def test_decide_entails_nonempty_domain():
     assert decide_entails(F("forall x. M1(x)"), F("exists x. M1(x)"), SIG) == Holds()
 
 
+def test_decide_entails_names_the_side_outside_the_fragment():
+    sig = Signature((("M1", 1), ("R", 2)), (), False)
+    premise = Pred("M1", (Var("x"),))
+    conclusion = Pred("R", (Var("x"), Var("x")))
+    with pytest.raises(ValueError, match=r"^not in the monadic fragment: R\(x, x\)$"):
+        decide_entails(premise, conclusion, sig)
+    with pytest.raises(ValueError, match=r"^not in the monadic fragment: R\(x, x\)$"):
+        decide_entails(conclusion, premise, sig)
+
+
 def test_mnf_shapes():
     m1 = monadic_normal_form(F("M2(x) & exists y. M1(y)"), "x", SIG)
     assert [(d.cell.literals, render(d.residue)) for d in m1.disjuncts] == [

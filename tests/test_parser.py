@@ -1,3 +1,5 @@
+import sys
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -192,6 +194,85 @@ def test_parse_error_position():
         pytest.fail("expected ParseError")
 
 
+def _where(call):
+    """The message, line and column of the ParseError that call raises."""
+    with pytest.raises(ParseError) as info:
+        call()
+    e = info.value
+    assert str(e) == f"{e.line}:{e.col}: {e.message}"
+    return e.message, e.line, e.col
+
+
+_NO_CLAUSE = "expected 'pred', 'const', or 'equality', got 'end of input'"
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        # After a comment, and on a later line.
+        ("# note\nsig { pred M1/1 }", ("expected ';', got '}'", 2, 17)),
+        ("sig {\n  pred M1/1;\n}\nassert M1(x,, x);", ("expected a name, got ','", 4, 13)),
+        # A tab is one column.
+        ("sig {\tpred\tM1/x; }", ("expected an integer, got 'x'", 1, 15)),
+        # \r\n ends a line; a lone \r is one column.
+        ("sig { }\r\nsig { }", ("signature already declared", 2, 1)),
+        ("sig { }\r sig { }", ("signature already declared", 1, 10)),
+        # End of input sits after a trailing newline, and at the `#` of a
+        # comment that ends the text.
+        ("sig { pred M1/1;\n", (_NO_CLAUSE, 2, 1)),
+        ("sig {\n  # open", (_NO_CLAUSE, 2, 3)),
+        # A name resolved by the formula's scope.
+        ("sig { pred M1/1; }\nassert\tM2(x);", ("unknown predicate M2", 2, 8)),
+        ("sig { pred M1/1; }\nassert M1(M1);", ("predicate M1 used as a term", 2, 11)),
+        # Blanks are space, tab, \r and \n only.
+        ("sig { }\x0c", ("unexpected character '\\x0c'", 1, 8)),
+        ("sig {\xa0}", ("unexpected character '\\xa0'", 1, 6)),
+        ("sig { pred ½/1; }", ("unexpected character '½'", 1, 12)),
+    ],
+)
+def test_parse_error_line_and_column(text, where):
+    assert _where(lambda: parse(text)) == where
+
+
+def test_parse_formulas_infer_error_line_and_column():
+    texts = ["M1(x)", "exists y.\n\tR(y) & M1(y, y)"]
+    assert _where(lambda: parse_formulas_infer(texts)) == (
+        "M1 applied with arities 1 and 2", 2, 9
+    )
+    assert _where(lambda: parse_formula("M1(x) M2(x)", SIG)) == (
+        "trailing input 'M2'", 1, 7
+    )
+
+
+def test_integers_raise_only_parse_error():
+    # str.isdigit() holds for `²`, but int() cannot read it.
+    assert _where(lambda: parse("sig { pred P/² ; }")) == (
+        "unexpected character '²'", 1, 14
+    )
+    assert _where(lambda: parse("sig { pred P/1²; }")) == (
+        "unexpected character '²'", 1, 15
+    )
+    # Any Unicode decimal digit reads as its value.
+    assert parse("sig { pred P/٣; }").signature.predicates == (("P", 3),)
+
+
+def test_overlong_integers_raise_only_parse_error():
+    big = "9" * 5000
+    for text, col in (
+        (f"sig {{ pred P/{big}; }}", 14),
+        (f"model m {{ universe {big}; }}", 20),
+    ):
+        try:
+            parse(text)
+        except ParseError as e:
+            assert (e.message, e.line, e.col) == (
+                "integer of 5000 digits is too long", 1, col
+            )
+        else:
+            # Only interpreters with a limit on int() digits refuse it.
+            assert not hasattr(sys, "get_int_max_str_digits")
+
+
 def test_nesting_limit():
     sig = Signature((("R", 2),), ("a",), False)
     atom = "R(a, a)"
@@ -318,6 +399,7 @@ def test_render_parse_round_trip(f):
 _PIECES = sorted(KEYWORDS) + [
     "<->", "->", ":=", "(", ")", "{", "}", ",", ";", ".", "=", "!", "&", "|",
     "/", "M1", "M2", "R", "c", "x", "y", "0", "2", "()", "#", "\n", " ",
+    "²", "9" * 5000,
 ]
 _SIG_EQ = Signature((("M1", 1), ("M2", 1), ("R", 2), ("Z", 0)), ("c",), True)
 

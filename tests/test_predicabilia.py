@@ -22,6 +22,7 @@ from porphyry import (
     Var,
     big_and,
     classify_formula,
+    decide_entails,
     evaluate,
     expand_model,
     generators,
@@ -32,7 +33,7 @@ from porphyry import (
     unfold,
 )
 from porphyry.magma import DEMO_SYSTEM
-from porphyry.syntax import conjuncts
+from porphyry.syntax import conjuncts, nnf, node_count
 
 SIG = Signature((("M1", 1), ("M2", 1)), (), False)
 
@@ -207,6 +208,49 @@ def test_proximate_genus_non_containing_candidate():
     assert table == {"A": True, "N": False}
     with pytest.raises(ValueError):
         proximate_genus("S", ["N"], d)
+
+
+def test_proximate_genus_walks_sub_conjunctions_in_cost_order():
+    # Conjuncts of different sizes, so cost order is not mask order.
+    sig = Signature((("M1", 1), ("M2", 1), ("M3", 1)), (), False)
+    x = Var("x")
+    body = [
+        P("A", "x"),
+        Or(Not(P("M2", "x")), P("M3", "x")),
+        Exists("y", P("M3", "y")),
+        P("M2", "x"),
+        Not(Not(P("M3", "x"))),
+    ]
+    d = DefinitionSystem(
+        sig,
+        (
+            PredicateDef("A", ("x",), P("M1", "x")),
+            PredicateDef("B", ("x",), Or(P("M1", "x"), P("M2", "x"))),
+            PredicateDef("S", ("x",), big_and(body)),
+        ),
+    )
+    r = proximate_genus("S", ["A", "B"], d)
+    psi = unfold(Pred("S", (x,)), d)
+    parts = conjuncts(psi)
+
+    def subset(mask):
+        return big_and([p for b, p in enumerate(parts) if (mask >> b) & 1])
+
+    masks = sorted(
+        range(1 << len(parts)), key=lambda m: (node_count(nnf(subset(m))), m)
+    )
+    for s in r.scores:
+        genus = unfold(Pred(s.name, (x,)), d)
+        first = next(
+            m
+            for m in masks
+            if decide_entails(And(genus, subset(m)), psi, sig) == Holds()
+        )
+        assert s.difference == subset(first)
+        assert s.score == node_count(nnf(s.difference))
+    # The cost is taken after negation normal form, where `!!M3(x)` is 1.
+    assert (r.chosen, render(r.difference)) == ("A", "M2(x) & !!M3(x)")
+    assert r.scores[0].score == 3
 
 
 def test_generators_toy_sets():
