@@ -108,12 +108,6 @@ class DefinitionSystem:
     base: Signature
     entries: tuple[Definition, ...] = ()
 
-    def predicate_defs(self) -> tuple[PredicateDef, ...]:
-        return tuple(e for e in self.entries if isinstance(e, PredicateDef))
-
-    def constant_defs(self) -> tuple[ConstantDef, ...]:
-        return tuple(e for e in self.entries if isinstance(e, ConstantDef))
-
     def entry(self, name: str) -> Definition | None:
         for e in self.entries:
             if e.name == name:

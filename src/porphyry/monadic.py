@@ -12,22 +12,25 @@ Support s is evaluated as a cell model whose elements are its inhabited
 cells.  Element e is always cell e, so predicate i holds of e exactly when
 bit i of e is set, in every support: the extents are one boolean array of
 2^k elements shared by all supports.  What varies is the domain, s itself
-as a bitmask of cells, and quantifiers range over it.  Chunks of supports
-go through the tensor evaluator of the bounded scan with their bitmasks as
-its domain.  A quantified body that is the same for every support packs
-into one bitmask of the cells it holds of, so each support is tested with
-one integer operation (exists: s & mask != 0; forall: s & ~mask == 0); a
-body that differs between supports is masked to the inhabited cells
-first.  A holder is an outermost exists over the inhabited cells, so the
-same test serves it: a hit that is the same for every support packs its
-last holder into one bitmask of cells for each assignment of the others,
-support s hits iff those others sit in inhabited cells and s & mask != 0,
-and the last holder takes the lowest set bit of s & mask.  Any other hit
-gives each holder its own axis, masked to the inhabited cells.  Supports
-are numbered by binary counting over cells and scanned by (number of
-inhabited cells, value); the reported witness is the first hit, holder
-cells tried in lexicographic order, which makes witnesses reproducible and
-small.  Packing keeps that order, so it keeps every witness.
+as a bitmask of cells, and quantifiers range over it.  Slices of supports
+are the chunks of semantics._scan, the first-hit scan that bounded_entails
+also uses, with their bitmasks as its domain; this module keeps only what
+is exact to it: the fragment check, the support order, the fixed cell
+extents, constants as holders, and the canonical witness.  A quantified
+body that is the same for every support packs into one bitmask of the cells
+it holds of, so each support is tested with one integer operation (exists:
+s & mask != 0; forall: s & ~mask == 0); a body that differs between
+supports is masked to the inhabited cells first.  A holder is an outermost
+exists over the inhabited cells, so the same test serves it: a hit that is
+the same for every support packs its last holder into one bitmask of cells
+for each assignment of the others, support s hits iff those others sit in
+inhabited cells and s & mask != 0, and the last holder takes the lowest set
+bit of s & mask.  Any other hit gives each holder its own axis, masked to
+the inhabited cells.  Supports are numbered by binary counting over cells
+and scanned by (number of inhabited cells, value); the reported witness is
+the first hit, holder cells tried in lexicographic order, which makes
+witnesses reproducible and small.  Packing keeps that order, so it keeps
+every witness.
 
 One scan answers a batch of queries, each "conjunction of rows entails
 row" over a list of formulas: each chunk evaluates every row asked about
@@ -56,13 +59,10 @@ from .semantics import (
     HoldsUpTo,
     Query,
     ResourceCeilingError,
-    _CHUNK_CELLS,
     _asked,
     _check_ceiling,
-    _first_hits,
-    _fixed_holders,
     _recheck_hits,
-    _Tensors,
+    _scan,
     bounded_entails,
     recheck,
 )
@@ -256,46 +256,29 @@ def _cell_countermodels(
     # the support, so their model axis has length 1.
     elements = np.arange(ncells)[:, None]
     ext = {p: (elements >> i) & 1 == 1 for i, p in enumerate(preds)}
+
+    def chunks(step):
+        """The supports in scan order, `step` to a chunk, as its domains."""
+        for start in range(0, len(supports), step):
+            domain = supports[start : start + step]
+            yield len(domain), ext, {}, domain
+
     holders = frees + consts
-    ndim = len(holders) + depth + 1
-    fixed = _fixed_holders(len(holders), ncells)
-    spread = ncells ** (len(holders) - fixed)
-    # A chunk holds every row asked at once: the budget covers them as well
-    # as the deepest quantifier.
-    cells_each = spread * max(ncells**depth, len(asked))
-    step = 1 if fixed else max(1, _CHUNK_CELLS // cells_each)
-    found: dict[int, tuple[int, tuple[int, ...]]] = {}
-    for start in range(0, len(supports), step):
-        domain = supports[start : start + step]
-        n = len(domain)
-
-        def truths_of(prefix):
-            where = [np.full((1,) * ndim, e) for e in prefix]
-            where += [
-                np.arange(ncells).reshape((1,) * i + (ncells,) + (1,) * (ndim - i - 1))
-                for i in range(fixed, len(holders))
-            ]
-            named = dict(zip(consts, where[len(frees):]))
-            ev = _Tensors(ext, named, n, ncells, ndim, domain)
-            scope = {v: i if i >= fixed else where[i] for i, v in enumerate(frees)}
-            return lambda f: ev.truth(f, scope, len(holders), n * spread)
-
-        open_ = {q: queries[q] for q in range(len(queries)) if q not in found}
-        hits = _first_hits(
-            truths_of, rows, open_, n, ncells, len(holders), fixed, domain
-        )
-        for q, (row, values) in hits.items():
-            found[q] = (int(domain[row]), tuple(values))
-        if len(found) == len(queries):
-            break
     pred_index = {p: i for i, p in enumerate(preds)}
-    models = {}
-    for column in found.values():
-        if column not in models:
-            support, values = column
-            names = dict(zip(holders, values))
-            models[column] = _canonical_model(support, names, preds, sig, pred_index)
-    witnesses = {q: models[column] for q, column in found.items()}
+    models: dict[tuple, tuple[FiniteModel, dict[str, int]]] = {}
+    witnesses = {}
+    scan = _scan(
+        rows, dict(enumerate(queries)), chunks, ncells, frees, consts, depth, 0
+    )
+    for (*_, domain), hits in scan:
+        for q, (row, values) in hits.items():
+            column = (int(domain[row]), tuple(values))
+            if column not in models:
+                names = dict(zip(holders, values))
+                models[column] = _canonical_model(
+                    column[0], names, preds, sig, pred_index
+                )
+            witnesses[q] = models[column]
     _recheck_hits(rows, queries, witnesses)
     return [witnesses.get(q) for q in range(len(queries))]
 

@@ -25,10 +25,11 @@ recurses once per level of its tree.
 One compiled regex splits the text into tokens.  A keyword or a punctuation
 mark is its own kind; anything else is a NAME (a letter or `_`, then
 letters, digits and `_`), an INT (a run of Unicode decimal digits) or the
-EOF.  Blanks are space, tab, `\\r` and `\\n` only; any other character
-outside a comment is a ParseError.  A token keeps only its character
-offset: the line and column of a ParseError (from 1, a tab counting as
-one column) are worked out from it when the error is raised.
+EOF, at the end of the text.  Blanks are space, tab, `\\r` and `\\n`
+only; any other character outside a comment is a ParseError.  A token
+keeps only its character offset: the line and column of a ParseError
+(from 1, a tab counting as one column) are worked out from it when the
+error is raised.
 
 Definition bodies may mention symbols that are not declared (yet); ordering
 and arity discipline is the validator's job, so broken systems still parse
@@ -133,10 +134,7 @@ def tokenize(text: str) -> list[Token]:
         elif kind != "INT":
             raise _error(f"unexpected character {word[0]!r}", text, m.start())
         toks.append(Token(kind, word, m.start()))
-    # A comment that ends the text leaves end of input at its `#`.
-    last_line = text.rfind("\n") + 1
-    end = text.find("#", last_line)
-    toks.append(Token("EOF", "", len(text) if end < 0 else end))
+    toks.append(Token("EOF", "", len(text)))
     return toks
 
 

@@ -31,6 +31,7 @@ from .semantics import (
     Holds,
     HoldsUpTo,
     Query,
+    _check_ceiling,
     _countermodels,
     default_bound,
     recheck,
@@ -340,7 +341,10 @@ def proximate_genus(
     the unfolded body with C(x) & D equivalent to the class; cost is node
     count after negation normal form.  Ties go to the lexicographically
     first name.  Candidates that do not contain the class are kept in the
-    score table but excluded from the choice.
+    score table but excluded from the choice.  When some candidate
+    contains the class, the 2^m sub-conjunctions of the body's m conjuncts
+    are counted against the ceiling before any is costed:
+    ResourceCeilingError (what="sub-conjunctions") past it.
     """
     _require_valid(d)
     entry = _species_entry(d, species)
@@ -365,6 +369,7 @@ def proximate_genus(
     # the empty one (`true`).  Ties go by mask, as the sort is stable.
     cost = [1]
     if pending:
+        _check_ceiling(len(parts), ceiling, what="sub-conjunctions")
         for part in parts:
             c = node_count(nnf(part))
             cost += [c if mask == 0 else k + 1 + c for mask, k in enumerate(cost)]

@@ -8,23 +8,28 @@ lexicographic order, into the extent, and a constant's digit is its element.
 `enumerate_models` walks this order, so the first countermodel found is a
 stable, reproducible artifact.
 
-`bounded_entails` scans the same order in chunks.  It decodes a chunk of
-indices at once into boolean extent arrays and evaluates each formula over
-the whole chunk, and over every assignment of its free variables, as one
-numpy boolean tensor; the first hit in enumeration order is the countermodel.
-`evaluate`, the plain recursive evaluator, re-checks that witness before it
-is returned.  A resource ceiling guards every enumeration; nothing silently
+One chunked first-hit scan, `_scan`, serves both entailment engines.  An
+engine hands it chunks of models: for `bounded_entails`, runs of
+interpretations of one size in this order, decoded into boolean extent
+arrays by the loop `enumerate_models` also walks; for the exact monadic
+engine, slices of its supports used as bitmask domains.  The scan sizes
+the chunks to a cell budget, evaluates each formula over a whole chunk,
+and over every assignment of its holders, as one numpy boolean tensor
+(`_Tensors`), and takes the first hit in scan order.  `evaluate`, the
+plain recursive evaluator, re-checks every witness before it is
+returned.  A resource ceiling guards every enumeration; nothing silently
 explodes.
 
-The scan answers a batch of queries at once (`_countermodels`): each is
-"conjunction of rows entails row" over one list of formulas, each chunk
-evaluates every row once, and each query still open takes its first hit
-from those rows.  `bounded_entails` is the one-query case.
+The scan answers a batch of queries at once: each is "conjunction of
+rows entails row" over one list of formulas, each chunk evaluates every
+row once, and each query still open takes its first hit from those rows.
+`bounded_entails` is the one-query case of `_countermodels`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 from typing import Iterable, Iterator, Mapping
 
@@ -216,13 +221,22 @@ def enumerate_models(
     """All interpretations of sig on {0..size-1}, exactly once, in index order."""
     if size < 1:
         raise ValueError("universe must be nonempty")
-    total = _check_ceiling(_bits(sig, size), ceiling, size ** len(sig.constants))
-    step = _models_per_chunk(sig, size, 1)
-    for start in range(0, total, step):
-        n = min(step, total - start)
-        preds, consts = _decode(sig, size, start, n)
+    step = max(1, _CHUNK_CELLS // max(1, _bits(sig, size)))
+    for n, preds, consts, _ in _interpretations(sig, size, ceiling, step):
         for row in range(n):
             yield _model(size, preds, consts, row)
+
+
+def _interpretations(sig: Signature, size: int, ceiling: int | None, step: int):
+    """The interpretations of sig on {0..size-1} in index order, as chunks of
+    `step` (the last may be shorter): (n, extents, constants, None) as
+    _decode gives them, None being the domain of _scan (every element).
+    ResourceCeilingError before the first chunk when there are more than
+    the ceiling."""
+    total = _check_ceiling(_bits(sig, size), ceiling, size ** len(sig.constants))
+    for start in range(0, total, step):
+        n = min(step, total - start)
+        yield (n, *_decode(sig, size, start, n), None)
 
 
 def _check_ceiling(
@@ -240,11 +254,6 @@ def _check_ceiling(
     if bits + times.bit_length() > _EXACT_BITS:
         raise ResourceCeilingError(None, limit, what)
     raise ResourceCeilingError((1 << bits) * times, limit, what)
-
-
-def _models_per_chunk(sig: Signature, size: int, cells: int) -> int:
-    """How many models, each needing `cells` cells, fit the chunk budget."""
-    return max(1, _CHUNK_CELLS // max(cells, _bits(sig, size)))
 
 
 def _decode(sig: Signature, size: int, start: int, n: int):
@@ -347,13 +356,13 @@ def bounded_entails(
     model is built.  Each size must fit the ceiling (ResourceCeilingError
     otherwise, raised before that size is scanned).
 
-    The scan decodes chunks of interpretation indices into boolean arrays
-    and evaluates the premises and the conclusion over a whole chunk and
-    every assignment at once.  The countermodel returned is the first hit in
-    enumeration order (smallest size first, then interpretation index, then
-    assignments with the sorted free variables varying last-fastest) and is
-    re-checked by evaluate before being returned.  This is the one-query
-    case of `_countermodels`.
+    The scan (`_scan`) decodes chunks of interpretation indices into
+    boolean arrays and evaluates the premises and the conclusion over a
+    whole chunk and every assignment at once.  The countermodel returned
+    is the first hit in enumeration order (smallest size first, then
+    interpretation index, then assignments with the sorted free variables
+    varying last-fastest) and is re-checked by evaluate before being
+    returned.  This is the one-query case of `_countermodels`.
     """
     if bound is None:
         bound = default_bound(sig)
@@ -391,7 +400,15 @@ def _countermodels(sig, rows, queries, bound, ceiling):
         if len(found) == len(queries):
             break
         open_ = {q: queries[q] for q in range(len(queries)) if q not in found}
-        found.update(_scan(sig, rows, open_, frees, depth, size, ceiling))
+        chunks = partial(_interpretations, sig, size, ceiling)
+        for (_, preds, consts, _), hits in _scan(
+            rows, open_, chunks, size, frees, (), depth, _bits(sig, size)
+        ):
+            models = {}
+            for q, (row, values) in hits.items():
+                if row not in models:
+                    models[row] = _model(size, preds, consts, row)
+                found[q] = (models[row], dict(zip(frees, values)))
     _recheck_hits(rows, queries, found)
     return [found.get(q) for q in range(len(queries))]
 
@@ -438,151 +455,126 @@ def _check_symbols(sig: Signature, fx: Facts) -> None:
             raise ValueError(f"constant {name} is not declared")
 
 
-def _scan(sig, rows, queries, frees, depth, size, ceiling):
-    """The first hit, as (model, assignment), of each of `queries` (index
-    -> Query) that has one at this size.
+def _scan(rows, queries, chunks, size, frees, consts, depth, extent_cells):
+    """The first hit of each of `queries` (index -> Query), scanning models
+    on {0..size-1} chunk by chunk: both engines' scan.  Yields (chunk, hits)
+    for each chunk where some query still open has its first hit, hits
+    mapping the query to (row, holder elements), row indexing the chunk's
+    models; the scan stops once every query has one.
 
-    Arrays have axis i for free variable frees[i], one more axis per level
-    of quantifier nesting, and the model last.  A chunk holds every row the
-    queries name at once, so its budget covers them as well as the deepest
-    quantifier.
+    chunks(step) gives the chunks in scan order, `step` models each (the
+    last may be shorter), as (n, extents, constants, domain): extents and
+    domain as _Tensors reads them, and each constant as elements of shape
+    (n,).  `extent_cells` is what each model's own extents take of the
+    chunk budget.  The holders are frees, then the constants `consts` that
+    chunks leave out, each given every element.  A chunk holds every row
+    the queries name at once, so its budget covers them as well as the
+    deepest quantifier.  When the holders' axes alone would pass the
+    budget, leading holders are fixed one assignment at a time, with one
+    model per chunk, until the axes of the others fit.  Arrays have axis i
+    for holder i, one more axis per level of quantifier nesting, and the
+    model last.  Each row a query needs is evaluated once per chunk and
+    assignment of the fixed holders.
+
+    A hit is first in (model, holder elements lexicographic) order, and
+    every holder sits inside its model's universe.  It is flattened into
+    one column per (model, holder elements).  But a hit that every model
+    of the chunk shares (model axis of length 1) packs its last holder,
+    when that holder has an axis and there is a domain, into one bitmask of
+    the elements it holds at for each assignment of the other holders, as
+    _Tensors._test does for a quantifier: model j hits there iff the other
+    holders are inside its universe and domain[j] & mask != 0, and the
+    lowest set bit of domain[j] & mask is the last holder's first element.
     """
-    total = _check_ceiling(_bits(sig, size), ceiling, size ** len(sig.constants))
-    fixed = _fixed_holders(len(frees), size)
-    spread = size ** (len(frees) - fixed)
-    width = len(_asked(rows, queries.values()))
-    step = (
-        1
-        if fixed
-        else _models_per_chunk(sig, size, spread * max(size**depth, width))
-    )
-    ndim = len(frees) + depth + 1
-    found = {}
-    for start in range(0, total, step):
-        n = min(step, total - start)
-        preds, consts = _decode(sig, size, start, n)
-        shaped = {c: v.reshape((1,) * (ndim - 1) + (n,)) for c, v in consts.items()}
-        ev = _Tensors(preds, shaped, n, size, ndim)
-
-        def truths_of(prefix):
-            scope = {v: ev.element(e) for v, e in zip(frees, prefix)}
-            scope.update((v, i) for i, v in enumerate(frees) if i >= fixed)
-            return lambda f: ev.truth(f, scope, len(frees), n * spread)
-
-        open_ = {q: query for q, query in queries.items() if q not in found}
-        models = {}
-        for q, (row, values) in _first_hits(
-            truths_of, rows, open_, n, size, len(frees), fixed
-        ).items():
-            if row not in models:
-                models[row] = _model(size, preds, consts, row)
-            found[q] = (models[row], dict(zip(frees, values)))
-        if len(found) == len(queries):
-            break
-    return found
-
-
-def _fixed_holders(holders: int, size: int) -> int:
-    """How many leading holders (the names an assignment gives elements) to
-    fix one assignment at a time, so that the axes of the others fit the
-    chunk budget.  A scan that fixes any takes one model per chunk."""
+    holders = len(frees) + len(consts)
     fixed = 0
     while size ** (holders - fixed) > _CHUNK_CELLS:
         fixed += 1
-    return fixed
+    spread = size ** (holders - fixed)
+    width = len(_asked(rows, queries.values()))
+    cells = max(spread * max(size**depth, width), extent_cells)
+    step = 1 if fixed else max(1, _CHUNK_CELLS // cells)
+    ndim = holders + depth + 1
+    held = {
+        c: np.arange(size).reshape((1,) * i + (size,) + (1,) * (ndim - i - 1))
+        for i, c in enumerate(consts, len(frees))
+        if i >= fixed
+    }
+    weights = np.left_shift(1, np.arange(size, dtype=np.int64))
+    lead = (holders, *range(holders))
+    found: set[int] = set()
+    for chunk in chunks(step):
+        n, preds, named, domain = chunk
+        named = {c: v.reshape((1,) * (ndim - 1) + (n,)) for c, v in named.items()}
+        named.update(held)
+        shape = (n,) + (1,) * fixed + (size,) * (holders - fixed)
+        if domain is not None:
+            universe = domain.reshape((n,) + (1,) * holders)
+        hits = {}
+        for prefix in product(range(size), repeat=fixed):
+            where = [np.full((1,) * ndim, e) for e in prefix]
+            scope = {v: where[i] if i < fixed else i for i, v in enumerate(frees)}
+            named.update(zip(consts, where[len(frees):]))
+            ev = _Tensors(preds, named, n, size, ndim, domain)
+            truths: dict[int, np.ndarray] = {}
+            guards: dict[int, np.ndarray | None] = {}
 
+            def truth(i: int) -> np.ndarray:
+                if i not in truths:
+                    truths[i] = ev.truth(rows[i], scope, holders, n * spread)
+                return truths[i]
 
-def _first_hits(
-    truths_of, rows, queries, n: int, size: int, holders: int, fixed: int, domain=None
-):
-    """The first hit of each of `queries` (index -> Query) in a chunk of n
-    models, as (row, holder elements) in (model, holder elements
-    lexicographic) order; queries with no hit in the chunk are left out.
+            def guard(upto: int) -> np.ndarray | None:
+                """Holders 0..upto-1 all sit inside the universe, model
+                axis first; None when that is no constraint."""
+                if upto not in guards:
+                    inside = None
+                    for i in range(upto if domain is not None else 0):
+                        along = (1,) * (i + 1) + (size,) + (1,) * (holders - i - 1)
+                        bit = weights[prefix[i]] if i < fixed else weights.reshape(along)
+                        here = universe & bit != 0
+                        inside = here if inside is None else inside & here
+                    guards[upto] = inside
+                return guards[upto]
 
-    truths_of(prefix) gives truth with the first `fixed` holders set to
-    prefix (one model per chunk then): truth(f) is f as a _Tensors.truth
-    array with an axis for each other holder.  Each row a query needs is
-    evaluated once per prefix.  domain, when given, is the universe of each
-    model as an int64 bitmask of shape (n,), as in _Tensors, and every
-    holder must sit inside it; otherwise every element is in every universe.
-
-    A query's hit is flattened into one column per (model, holder elements).
-    But a hit that every model of the chunk shares (model axis of length 1)
-    packs its last holder, when that holder has an axis and there is a
-    domain, into one bitmask of the elements it holds at for each
-    assignment of the other holders, as _Tensors._test does for a
-    quantifier: model j hits there iff the other holders are inside its
-    universe and domain[j] & mask != 0, and the lowest set bit of
-    domain[j] & mask is the last holder's first element.
-    """
-    shape = (n,) + (1,) * fixed + (size,) * (holders - fixed)
-    axes = (holders, *range(holders))
-    packs = domain is not None and holders > fixed
-    if domain is not None:
-        universe = domain.reshape((n,) + (1,) * holders)
-        weights = np.left_shift(1, np.arange(size, dtype=np.int64))
-
-    def lead(a):
-        """a with the model axis first, then one axis per holder."""
-        return a[(slice(None),) * holders + (0,) * (a.ndim - holders - 1)].transpose(axes)
-
-    found = {}
-    for prefix in product(range(size), repeat=fixed):
-        truth = truths_of(prefix)
-        truths: dict[int, np.ndarray] = {}
-        guards: dict[int, np.ndarray | None] = {}
-
-        def guard(upto: int) -> np.ndarray | None:
-            """Holders 0..upto-1 all sit inside the universe, in lead()
-            form; None when that is no constraint."""
-            if upto not in guards:
-                inside = None
-                for i in range(upto if domain is not None else 0):
-                    along = (1,) * (i + 1) + (size,) + (1,) * (holders - i - 1)
-                    bit = weights[prefix[i]] if i < fixed else weights.reshape(along)
-                    here = universe & bit != 0
-                    inside = here if inside is None else inside & here
-                guards[upto] = inside
-            return guards[upto]
-
-        def row_truth(i: int) -> np.ndarray:
-            if i not in truths:
-                truths[i] = truth(rows[i])
-            return truths[i]
-
-        for q, (premises, conclusion) in queries.items():
-            if q in found:
-                continue
-            hit = None
-            for i in premises:
-                hit = row_truth(i) if hit is None else hit & row_truth(i)
-            if conclusion is not None:
-                # On booleans, a > b is a & ~b in one pass.
-                t = row_truth(conclusion)
-                hit = ~t if hit is None else hit > t
-            hit = lead(hit)
-            if packs and hit.shape[0] == 1:
-                mask = np.where(hit, weights, 0).sum(axis=-1, keepdims=True)
-                tested = universe & mask != 0
-                if guard(holders - 1) is not None:
-                    tested = tested & guard(holders - 1)
-                packed = shape[:-1] + (1,)
-                at = _first_true(tested, packed)
-                if at is not None:
-                    row, *rest = at
-                    bits = int(domain[row]) & int(np.broadcast_to(mask, packed)[tuple(at)])
-                    rest[-1] = (bits & -bits).bit_length() - 1
-                    found[q] = row, [*prefix, *rest[fixed:]]
-                continue
-            if guard(holders) is not None:
-                hit = hit & guard(holders)
-            at = _first_true(hit, shape)
-            if at is not None:
+            for q, (premises, conclusion) in queries.items():
+                if q in found:
+                    continue
+                hit = None
+                for i in premises:
+                    hit = truth(i) if hit is None else hit & truth(i)
+                if conclusion is not None:
+                    # On booleans, a > b is a & ~b in one pass.
+                    t = truth(conclusion)
+                    hit = ~t if hit is None else hit > t
+                # The model axis first, then one axis per holder.
+                hit = hit[(slice(None),) * holders + (0,) * depth].transpose(lead)
+                mask = None
+                if domain is not None and holders > fixed and hit.shape[0] == 1:
+                    mask = np.where(hit, weights, 0).sum(axis=-1, keepdims=True)
+                    hit, at_shape = universe & mask != 0, shape[:-1] + (1,)
+                    inside = guard(holders - 1)
+                else:
+                    at_shape, inside = shape, guard(holders)
+                at = _first_true(hit if inside is None else hit & inside, at_shape)
+                if at is None:
+                    continue
                 row, *rest = at
-                found[q] = row, [*prefix, *rest[fixed:]]
+                if mask is not None:
+                    bits = np.broadcast_to(mask, at_shape)[tuple(at)]
+                    bits = int(domain[row]) & int(bits)
+                    rest[-1] = (bits & -bits).bit_length() - 1
+                found.add(q)
+                hits[q] = row, [*prefix, *rest[fixed:]]
+            if len(found) == len(queries):
+                break
+        # Free this chunk's arrays before the next chunk is decoded, so that
+        # the decode can reuse their memory.
+        del ev, truths, guards, hit, mask, inside
+        if hits:
+            yield chunk, hits
         if len(found) == len(queries):
-            break
-    return found
+            return
 
 
 def _first_true(a: np.ndarray, shape: tuple[int, ...]) -> list[int] | None:

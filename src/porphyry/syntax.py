@@ -277,14 +277,6 @@ def free_vars(f: Formula) -> frozenset[str]:
     return facts(f).frees
 
 
-def is_sentence(f: Formula) -> bool:
-    return not facts(f).frees
-
-
-def constants_of(f: Formula) -> frozenset[str]:
-    return frozenset(facts(f).consts)
-
-
 def predicates_of(f: Formula) -> dict[str, int]:
     """Predicate symbols used in f with their observed arity."""
     return facts(f).arities()

@@ -13,7 +13,6 @@ from helpers import (
     occurring,
     random_formula,
 )
-import porphyry.monadic
 import porphyry.semantics
 from porphyry import (
     And,
@@ -80,7 +79,6 @@ def _bounded_oracle(formulas, query, sig, frees, bound):
 
 def _small_chunks(monkeypatch, cells):
     monkeypatch.setattr(porphyry.semantics, "_CHUNK_CELLS", cells)
-    monkeypatch.setattr(porphyry.monadic, "_CHUNK_CELLS", cells)
 
 
 @pytest.mark.parametrize("cells", [None, 40, 3])
@@ -118,6 +116,30 @@ def test_bounded_batch_matches_per_query_oracle(monkeypatch, cells):
             _bounded_oracle(formulas, q, sig, sorted(frees), 3) for q in queries
         ]
         assert [hit is None for hit in hits] == want
+
+
+@pytest.mark.parametrize("cells", [None, 40, 3])
+def test_bounded_batch_witnesses_match_one_query_scans(monkeypatch, cells):
+    # Every query also names a tautology over all the batch's free
+    # variables, so its own scan has the batch's holders and must find the
+    # same first hit, model and assignment.
+    if cells is not None:
+        _small_chunks(monkeypatch, cells)
+    rng = random.Random(404)
+    for _ in range(12):
+        consts = rng.sample(["c"], rng.randint(0, 1))
+        frees = rng.sample(["x", "y"], rng.randint(0, 2 - len(consts)))
+        sig = Signature((("M1", 1), ("M2", 1)), tuple(consts), False)
+        formulas, queries = _random_batch(rng, ["M1", "M2"], consts, frees)
+        pad = big_and(
+            [Or(Pred("M1", (Var(v),)), Not(Pred("M1", (Var(v),)))) for v in frees]
+        )
+        rows = formulas + [pad]
+        padded = [((*premises, len(formulas)), c) for premises, c in queries]
+        hits = _countermodels(sig, rows, padded, 3, None)
+        assert any(hits) and not all(hits)
+        for query, hit in zip(padded, hits):
+            assert hit == _countermodels(sig, rows, [query], 3, None)[0]
 
 
 def _pad(rows, sig):

@@ -13,7 +13,6 @@ from helpers import (
     random_formula,
     random_monadic_sentence,
 )
-import porphyry.monadic
 import porphyry.predicabilia
 import porphyry.semantics
 from porphyry import (
@@ -199,7 +198,6 @@ def test_decide_sat_masked_scan(monkeypatch):
         for cells in budgets:
             if cells is not None:
                 monkeypatch.setattr(porphyry.semantics, "_CHUNK_CELLS", cells)
-                monkeypatch.setattr(porphyry.monadic, "_CHUNK_CELLS", cells)
             got = decide_sat(f, sig)
             if want is None:
                 assert got == Unsat(), (render(f), cells)

@@ -217,10 +217,10 @@ _NO_CLAUSE = "expected 'pred', 'const', or 'equality', got 'end of input'"
         # \r\n ends a line; a lone \r is one column.
         ("sig { }\r\nsig { }", ("signature already declared", 2, 1)),
         ("sig { }\r sig { }", ("signature already declared", 1, 10)),
-        # End of input sits after a trailing newline, and at the `#` of a
-        # comment that ends the text.
+        # End of input sits after a trailing newline, and after a comment
+        # that ends the text.
         ("sig { pred M1/1;\n", (_NO_CLAUSE, 2, 1)),
-        ("sig {\n  # open", (_NO_CLAUSE, 2, 3)),
+        ("sig {\n  # open", (_NO_CLAUSE, 2, 9)),
         # A name resolved by the formula's scope.
         ("sig { pred M1/1; }\nassert\tM2(x);", ("unknown predicate M2", 2, 8)),
         ("sig { pred M1/1; }\nassert M1(M1);", ("predicate M1 used as a term", 2, 11)),

@@ -17,6 +17,7 @@ from porphyry import (
     Pred,
     PredicateDef,
     Property,
+    ResourceCeilingError,
     Signature,
     Unrelated,
     Var,
@@ -251,6 +252,31 @@ def test_proximate_genus_walks_sub_conjunctions_in_cost_order():
     # The cost is taken after negation normal form, where `!!M3(x)` is 1.
     assert (r.chosen, render(r.difference)) == ("A", "M2(x) & !!M3(x)")
     assert r.scores[0].score == 3
+
+
+def test_proximate_genus_counts_sub_conjunctions_against_the_ceiling():
+    # Over one predicate the engine needs 4 supports; the body's five
+    # conjuncts give 2^5 = 32 sub-conjunctions, counted before any is built.
+    sig = Signature((("M1", 1),), (), False)
+    body = [
+        P("A", "x"),
+        Not(Not(P("M1", "x"))),
+        Or(P("M1", "x"), P("M1", "x")),
+        Exists("y", P("M1", "y")),
+        Forall("y", Or(P("M1", "y"), Not(P("M1", "y")))),
+    ]
+    d = DefinitionSystem(
+        sig,
+        (
+            PredicateDef("A", ("x",), P("M1", "x")),
+            PredicateDef("S", ("x",), big_and(body)),
+        ),
+    )
+    assert proximate_genus("S", ["A"], d, ceiling=32) == proximate_genus("S", ["A"], d)
+    with pytest.raises(ResourceCeilingError) as exc:
+        proximate_genus("S", ["A"], d, ceiling=31)
+    assert (exc.value.needed, exc.value.ceiling) == (32, 31)
+    assert "32 sub-conjunctions" in str(exc.value)
 
 
 def test_generators_toy_sets():
