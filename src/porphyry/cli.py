@@ -187,6 +187,8 @@ _SPECIES = _arg("--species", required=True)
 _FORMULA = _arg("--formula", required=True)
 _SIG = _arg("--sig", required=True)
 _MODEL = _arg("--model", required=True)
+# Only the commands that ask entailments take a bound.
+_BOUND = _arg("--bound", type=int, help="model-size bound for bounded entailment")
 
 
 # ------------------------------------------------------------- handlers
@@ -323,7 +325,7 @@ def _cmd_tree(args, ceiling):
 @_command(
     "classify",
     "predication verdict",
-    [_FILE, _SPECIES, _FORMULA],
+    [_FILE, _SPECIES, _FORMULA, _BOUND],
     {
         "species": _STR,
         "formula": _STR,
@@ -369,6 +371,7 @@ def _cmd_classify(args, ceiling):
         _arg("--lhs", required=True),
         _arg("--rhs", required=True),
         _arg("--sig", help="inline signature declarations"),
+        _BOUND,
     ],
     {**_ENGINE_FIELDS, "verdict": _VERDICT},
     "engine verdict",
@@ -567,7 +570,7 @@ def _cmd_reconstruct(args, ceiling):
 @_command(
     "generators",
     "generator flags for asserted sentences",
-    [_FILE],
+    [_FILE, _BOUND],
     {
         **_ENGINE_FIELDS,
         "sentences": _array(_object({"formula": _STR, "generator": _BOOL})),
@@ -622,6 +625,7 @@ def _cmd_demo(args, ceiling):
         _FILE,
         _SPECIES,
         _arg("--candidates", required=True, help="comma-separated class names"),
+        _BOUND,
     ],
     {
         "species": _STR,
@@ -698,9 +702,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="enumeration guard: max interpretations per model search "
         f"(or ${CEILING_ENV})",
     )
-    common.add_argument(
-        "--bound", type=int, help="model-size bound for bounded entailment"
-    )
 
     p = argparse.ArgumentParser(
         prog="porphyry",
@@ -723,7 +724,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_ERROR
     try:
         ceiling = _resolve_ceiling(args)
-        if args.bound is not None and args.bound < 1:
+        if getattr(args, "bound", None) is not None and args.bound < 1:
             raise ValueError("--bound must be at least 1")
         code, payload, text = _COMMANDS[args.command].run(args, ceiling)
     except (ParseError, ResourceCeilingError, ValueError, OSError) as exc:

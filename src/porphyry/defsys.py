@@ -15,6 +15,13 @@ atom that mentions a constant which is not uniquely described as "the atom
 holds of some element the description holds of", through one rewrite,
 `_describe_atom`.
 
+What a name is, predicate or constant, its arity and the entry that
+defines it, is read from one symbol table, `DefinitionSystem.symbols`,
+which also fixes which reading a clashing name gets: the base signature
+wins over a definition, and the first definition over later ones.
+`validate`, the parser's name resolution and the class checks of
+`predicabilia` all read it.
+
 Well-formedness is a property of the system, not of each question asked
 of it, so each public call validates its system once: `unfold` is
 `_require_valid` and then `_unfold`, and callers that unfold several
@@ -70,6 +77,10 @@ class PredicateDef:
     params: tuple[str, ...]
     body: Formula
 
+    @property
+    def arity(self) -> int:
+        return len(self.params)
+
     def to_dsl(self) -> str:
         return f"def {self.name}({', '.join(self.params)}) := {render(self.body)};"
 
@@ -79,6 +90,11 @@ class ConstantDef:
     name: str
     var: str
     body: Formula
+
+    @property
+    def arity(self) -> None:
+        """A constant takes no arguments: None, as in a Symbol."""
+        return None
 
     def term_form(self) -> Term | None:
         """The defining term when the body is `var = t`, else None."""
@@ -103,43 +119,59 @@ class ConstantDef:
 Definition = Union[PredicateDef, ConstantDef]
 
 
+# What a name of a definition system is, as (entry, arity): the entry that
+# defines it (-1 for the base signature) and its arity (None for a
+# constant).  A plain tuple, since a table is built on every name check.
+Symbol = tuple[int, int | None]
+
+
+def _define(table: dict[str, Symbol], i: int, e: Definition) -> None:
+    """Enter entry i into a symbol table.  A name keeps its first reading,
+    so the base signature wins over a definition and the first definition
+    over later ones: a system with a name clash still reads each name one
+    way, and the validator reports the clash."""
+    table.setdefault(e.name, (i, e.arity))
+
+
 @dataclass(frozen=True)
 class DefinitionSystem:
     base: Signature
     entries: tuple[Definition, ...] = ()
 
-    def entry(self, name: str) -> Definition | None:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        return None
-
-    def index(self, name: str) -> int | None:
+    def symbols(self) -> dict[str, Symbol]:
+        """The symbol table: every declared or defined name, base
+        predicates, then base constants, then entries in order, each read
+        by `_define`'s precedence rule.  Every name check of the system
+        reads it."""
+        table: dict[str, Symbol] = {
+            name: (-1, arity) for name, arity in self.base.predicates
+        }
+        table.update((name, (-1, None)) for name in self.base.constants)
         for i, e in enumerate(self.entries):
-            if e.name == name:
-                return i
-        return None
+            _define(table, i, e)
+        return table
 
     def defined_predicates(self) -> dict[str, int]:
         return {
-            e.name: len(e.params)
-            for e in self.entries
-            if isinstance(e, PredicateDef)
+            n: arity
+            for n, (i, arity) in self.symbols().items()
+            if i >= 0 and arity is not None
         }
 
     def defined_constants(self) -> tuple[str, ...]:
-        return tuple(e.name for e in self.entries if isinstance(e, ConstantDef))
+        return tuple(
+            n for n, (i, arity) in self.symbols().items() if i >= 0 and arity is None
+        )
 
     def full_signature(self) -> Signature:
-        """Base signature extended with all defined symbols, in entry order."""
-        preds = list(self.base.predicates)
-        consts = list(self.base.constants)
-        for e in self.entries:
-            if isinstance(e, PredicateDef):
-                preds.append((e.name, len(e.params)))
-            else:
-                consts.append(e.name)
-        return Signature(tuple(preds), tuple(consts), self.base.equality)
+        """Base signature extended with all defined symbols, in entry order,
+        each name read as in `symbols`."""
+        table = self.symbols()
+        return Signature(
+            tuple((n, a) for n, (_, a) in table.items() if a is not None),
+            tuple(n for n, (_, a) in table.items() if a is None),
+            self.base.equality,
+        )
 
     def to_dsl(self) -> str:
         return "\n".join(e.to_dsl() for e in self.entries)
@@ -165,36 +197,24 @@ class ValidationReport:
 def validate(d: DefinitionSystem) -> ValidationReport:
     """Check ordering discipline and well-formedness of every entry.
 
-    A body symbol that is declared nowhere at all is reported as a
-    forward-reference: it is not available at that point (or ever).
+    First every entry whose name already has a reading in the symbol table
+    is a name-clash.  Then, entry by entry: stray free variables, each
+    predicate applied at more than one arity, and each other symbol use,
+    predicates and then constants, each sorted by name (`_misuse`).
     """
-    vs: list[Violation] = []
-    base_names = d.base.names()
-    first_index: dict[str, int] = {}
-    for i, entry in enumerate(d.entries):
-        if entry.name in base_names:
-            vs.append(
-                Violation(i, "name-clash", entry.name, "clashes with base signature")
-            )
-        elif entry.name in first_index:
-            vs.append(Violation(i, "name-clash", entry.name, "duplicate definition"))
-        else:
-            first_index[entry.name] = i
-
-    def ref_violation(i: int, entry: Definition, name: str) -> Violation | None:
-        j = first_index.get(name)
-        if j is None:
-            return Violation(
-                i, "forward-reference", name, "symbol not defined anywhere"
-            )
-        if j == i:
-            return Violation(i, "self-reference", name, "definition mentions itself")
-        if j > i:
-            return Violation(
-                i, "forward-reference", name, f"defined later at entry {j}"
-            )
-        return None
-
+    table = d.symbols()
+    vs = [
+        Violation(
+            i,
+            "name-clash",
+            e.name,
+            "clashes with base signature"
+            if table[e.name][0] < 0
+            else "duplicate definition",
+        )
+        for i, e in enumerate(d.entries)
+        if table[e.name][0] != i
+    ]
     for i, entry in enumerate(d.entries):
         params = entry.params if isinstance(entry, PredicateDef) else (entry.var,)
         fx = facts(entry.body)
@@ -208,66 +228,43 @@ def validate(d: DefinitionSystem) -> ValidationReport:
                     "stray free variables: " + ", ".join(sorted(stray)),
                 )
             )
-        uses = fx.preds
-        mixed = {n for n, ars in uses.items() if len(ars) > 1}
-        for name in sorted(mixed):
-            vs.append(
-                Violation(i, "arity-mismatch", name, "applied with multiple arities")
-            )
-        for name, used_arity in sorted(
-            (n, next(iter(ars))) for n, ars in uses.items() if n not in mixed
-        ):
-            declared = d.base.arity(name)
-            if declared is not None:
-                if declared != used_arity:
-                    vs.append(
-                        Violation(
-                            i,
-                            "arity-mismatch",
-                            name,
-                            f"declared /{declared}, applied /{used_arity}",
-                        )
-                    )
-                continue
-            if d.base.is_constant(name):
-                vs.append(
-                    Violation(i, "arity-mismatch", name, "constant applied as predicate")
-                )
-                continue
-            bad = ref_violation(i, entry, name)
+        preds = sorted(fx.preds.items())
+        vs += [
+            Violation(i, "arity-mismatch", name, "applied with multiple arities")
+            for name, arities in preds
+            if len(arities) > 1
+        ]
+        uses = [(name, *arities) for name, arities in preds if len(arities) == 1]
+        for name, arity in uses + [(name, None) for name in sorted(fx.consts)]:
+            bad = _misuse(table, i, name, arity)
             if bad is not None:
-                vs.append(bad)
-                continue
-            target = d.entries[first_index[name]]
-            if isinstance(target, ConstantDef):
-                vs.append(
-                    Violation(i, "arity-mismatch", name, "constant applied as predicate")
-                )
-            elif len(target.params) != used_arity:
-                vs.append(
-                    Violation(
-                        i,
-                        "arity-mismatch",
-                        name,
-                        f"defined /{len(target.params)}, applied /{used_arity}",
-                    )
-                )
-        for name in sorted(fx.consts):
-            if d.base.is_constant(name):
-                continue
-            if d.base.arity(name) is not None:
-                vs.append(
-                    Violation(i, "arity-mismatch", name, "predicate used as term")
-                )
-                continue
-            bad = ref_violation(i, entry, name)
-            if bad is not None:
-                vs.append(bad)
-            elif isinstance(d.entries[first_index[name]], PredicateDef):
-                vs.append(
-                    Violation(i, "arity-mismatch", name, "predicate used as term")
-                )
+                vs.append(Violation(i, bad[0], name, bad[1]))
     return ValidationReport(valid=not vs, violations=tuple(vs))
+
+
+def _misuse(
+    table: dict[str, Symbol], i: int, name: str, arity: int | None
+) -> tuple[str, str] | None:
+    """(kind, detail) of what is wrong with entry i using name at
+    arity (None: as a term), or None.  The name must be defined, and
+    before entry i; a predicate must be used as one, at its arity, and a
+    constant as a term.  A name declared nowhere is a forward-reference: it
+    is not available at that point, or ever."""
+    if name not in table:
+        return "forward-reference", "symbol not defined anywhere"
+    j, declared = table[name]
+    if j == i:
+        return "self-reference", "definition mentions itself"
+    if j > i:
+        return "forward-reference", f"defined later at entry {j}"
+    if declared is None and arity is not None:
+        return "arity-mismatch", "constant applied as predicate"
+    if arity is None and declared is not None:
+        return "arity-mismatch", "predicate used as term"
+    if arity != declared:
+        how = "declared" if j < 0 else "defined"
+        return "arity-mismatch", f"{how} /{declared}, applied /{arity}"
+    return None
 
 
 def _require_valid(d: DefinitionSystem) -> None:
@@ -303,14 +300,13 @@ def dependency_graph(d: DefinitionSystem) -> DependencyGraph:
     """Nodes are definienda; edges run from a definition to each defined
     symbol its body mentions.  Acyclic for valid systems by construction."""
     _require_valid(d)
-    index = {e.name: i for i, e in enumerate(d.entries)}
+    table = d.symbols()
     edges: list[tuple[str, str]] = []
-    for e in d.entries:
+    for i, e in enumerate(d.entries):
         fx = facts(e.body)
-        used = sorted({index[n] for n in (*fx.preds, *fx.consts) if n in index})
+        used = sorted({table[n][0] for n in (*fx.preds, *fx.consts)} - {-1})
+        recheck(all(j < i for j in used), "dependency must point backwards")
         edges += [(e.name, d.entries[j].name) for j in used]
-    for src, dst in edges:
-        recheck(index[dst] < index[src], "dependency must point backwards")
     return DependencyGraph(
         nodes=tuple(e.name for e in d.entries), edges=tuple(edges)
     )
@@ -401,7 +397,7 @@ class _Expander:
     def __init__(self, d: DefinitionSystem):
         self.preds: dict[str, tuple[tuple[str, ...], Formula]] = {}
         self.consts: _Described = {}
-        self.used: set[str] = set(d.base.names()) | {e.name for e in d.entries}
+        self.used: set[str] = set(d.symbols())
         for e in d.entries:
             body = self.expand(e.body)
             if isinstance(e, PredicateDef):
@@ -458,14 +454,13 @@ def unfold(f: Formula, d: DefinitionSystem) -> Formula:
 
 def _unfold(f: Formula, d: DefinitionSystem) -> Formula:
     """unfold over a system already validated."""
-    defined = {e.name for e in d.entries}
-    declared = d.base.names() | defined
+    table = d.symbols()
     fx = facts(f)
-    symbols = [*fx.arities(), *fx.consts]
-    for name in symbols:
-        if name not in declared:
+    names = [*fx.arities(), *fx.consts]
+    for name in names:
+        if name not in table:
             raise ValueError(f"symbol {name} not declared anywhere")
-    if defined.isdisjoint(symbols):
+    if all(table[name][0] < 0 for name in names):
         # Nothing to expand: the expander would rebuild an equal tree.
         return rename_apart(f)
     return rename_apart(_Expander(d).expand(f))
@@ -503,7 +498,7 @@ def expand_model(
     ] + [c for c in d.base.constants if c not in m.constants]
     if missing:
         raise ValueError("model is missing base symbols: " + ", ".join(missing))
-    reserved = d.base.names() | {e.name for e in d.entries}
+    reserved = set(d.symbols())
     # Extents as boolean arrays, one axis per argument and a model axis of
     # length 1, as semantics._Tensors reads them.
     arrays = {
@@ -519,7 +514,7 @@ def expand_model(
         holders = e.params if isinstance(e, PredicateDef) else (e.var,)
         body = e.body
         if described:
-            used = set(reserved | all_names(body) | set(holders))
+            used = reserved | all_names(body) | set(holders)
             body = _describe(body, described, used)
         holds = _holds(body, holders, arrays, values, m.size)
         if isinstance(e, PredicateDef):

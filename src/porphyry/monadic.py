@@ -218,8 +218,10 @@ def decide_sat(
 
     With allow_equality, unary formulas with `=` are decided instead by the
     bounded scan of semantics.bounded_entails over universe sizes
-    1..2^k * max(1, quantifier depth); the witness is the first model of f
-    in that scan.  This path is slower and off by default.
+    1..2^k * max(1, q + h), with q the quantifier depth and h the free
+    variables plus the constants of f: each holder counts as an outermost
+    exists.  The witness is the first model of f in that scan.  This path is
+    slower and off by default.
     """
     if allow_equality and uses_equality(f):
         return _decide_sat_eq(f, sig, ceiling)
@@ -310,7 +312,8 @@ def _decide_sat_eq(
     arities = fx.arities()
     if any(a != 1 for a in arities.values()):
         raise ValueError("equality extension still requires unary predicates")
-    bound = (1 << len(arities)) * max(1, fx.depth)
+    holders = len(fx.frees) + len(fx.consts)
+    bound = (1 << len(arities)) * max(1, fx.depth + holders)
     verdict = bounded_entails(sig, (), Not(f), bound, ceiling)
     if isinstance(verdict, HoldsUpTo):
         return Unsat()
@@ -451,9 +454,11 @@ def monadic_normal_form(
     Residues entailed by their cell collapse to true; disjuncts whose cell
     and residue jointly cannot hold are dropped; disjuncts with the same
     cell are merged by disjoining residues.  The form is pure when every
-    surviving residue is true.  ResourceCeilingError when a disjunctive
+    surviving residue is true.  Every cell's two checks are one batch of
+    the exact engine, and the re-check that the form is equivalent to f is
+    another: two scans in all.  ResourceCeilingError when a disjunctive
     form on the way would have more disjuncts than the ceiling, before it
-    is built.
+    is built, or when a check's supports would.
     """
     fx = facts(f)
     if not _monadic(fx):
@@ -494,20 +499,26 @@ def monadic_normal_form(
             continue
         key = tuple(sorted(marks.items(), key=lambda kv: order[kv[0]]))
         merged.setdefault(key, []).append(big_and(residue_parts))
-    disjuncts: list[Disjunct] = []
+    # One batch asks every cell's checks: does the cell entail its residue,
+    # and can the two hold together.  Rows are each cell, then its residue.
+    rows: list[Formula] = []
+    queries: list[Query] = []
     for key, residues in merged.items():
-        cell = CellConjunction(key)
-        residue = big_or(residues) if len(residues) > 1 else residues[0]
-        guard = cell.formula(var)
-        if not isinstance(residue, Verum):
-            if isinstance(decide_entails(guard, residue, sig, ceiling), Holds):
-                residue = Verum()
-        if isinstance(residue, Falsum):
-            continue
-        joint = And(guard, residue)
-        if isinstance(decide_sat(joint, sig, ceiling), Unsat):
-            continue
-        disjuncts.append(Disjunct(cell, residue))
+        g = len(rows)
+        rows += [
+            CellConjunction(key).formula(var),
+            big_or(residues) if len(residues) > 1 else residues[0],
+        ]
+        if not isinstance(rows[-1], Verum):
+            queries.append(((g,), g + 1))
+        queries.append(((g, g + 1), None))
+    verdicts = iter(_exact_verdicts(rows, queries, sig, ceiling))
+    disjuncts: list[Disjunct] = []
+    for key, residue in zip(merged, rows[1::2]):
+        if not isinstance(residue, Verum) and isinstance(next(verdicts), Holds):
+            residue = Verum()
+        if isinstance(next(verdicts), Countermodel):
+            disjuncts.append(Disjunct(CellConjunction(key), residue))
     pure = all(isinstance(d.residue, Verum) for d in disjuncts)
     out = MonadicNormalForm(var, tuple(disjuncts), pure)
     _check_equivalent(f, out, sig, ceiling)
@@ -517,9 +528,10 @@ def monadic_normal_form(
 def _check_equivalent(
     f: Formula, form: MonadicNormalForm, sig: Signature, ceiling: int | None
 ) -> None:
-    g = form.to_formula()
+    both_ways = _exact_verdicts(
+        [f, form.to_formula()], [((0,), 1), ((1,), 0)], sig, ceiling
+    )
     recheck(
-        isinstance(decide_entails(f, g, sig, ceiling), Holds)
-        and isinstance(decide_entails(g, f, sig, ceiling), Holds),
+        all(isinstance(v, Holds) for v in both_ways),
         "normal form must be equivalent to the input",
     )

@@ -31,10 +31,12 @@ keeps only its character offset: the line and column of a ParseError
 (from 1, a tab counting as one column) are worked out from it when the
 error is raised.
 
-Definition bodies may mention symbols that are not declared (yet); ordering
-and arity discipline is the validator's job, so broken systems still parse
-and can be reported on.  Standalone formulas (assert, the formula-parsing
-API) are checked against the signature at parse time.
+Names resolve through the system's symbol table (`DefinitionSystem.symbols`),
+which a defsys block extends entry by entry.  Definition bodies may mention
+symbols that are not declared (yet); ordering and arity discipline is the
+validator's job, so broken systems still parse and can be reported on.
+Standalone formulas (assert, the formula-parsing API) are checked against
+the signature at parse time.
 
 Model blocks interpret base symbols only.  Unassigned predicates default to
 the empty extent; every declared constant must be assigned.  A unary extent
@@ -49,7 +51,7 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .defsys import ConstantDef, Definition, DefinitionSystem, PredicateDef
+from .defsys import ConstantDef, Definition, DefinitionSystem, PredicateDef, _define
 from .semantics import FiniteModel
 from .syntax import (
     And,
@@ -223,10 +225,10 @@ class _Parser:
             elif t.kind == "assert":
                 self.advance()
                 system = DefinitionSystem(self.current_sig(sig), tuple(entries))
-                f = self.formula(_Scope(system, strict=True))
+                scope = _Scope(system, strict=True)
+                f = self.formula(scope)
                 self.expect(";")
-                reserved = system.base.names() | {e.name for e in system.entries}
-                asserts.append(rename_apart(f, frozenset(reserved)))
+                asserts.append(rename_apart(f, frozenset(scope.symbols)))
             else:
                 raise self.fail(
                     "expected 'sig', 'defsys', 'model', or 'assert'"
@@ -276,8 +278,6 @@ class _Parser:
         self.expect("{")
         out: list[Definition] = []
         scope = _Scope(DefinitionSystem(sig, tuple(earlier)), strict=False)
-        known = set(sig.constants)
-        known.update(e.name for e in earlier if isinstance(e, ConstantDef))
         while not self.eat("}"):
             if self.eat("def"):
                 name = self.expect_name()
@@ -302,21 +302,20 @@ class _Parser:
                 name = self.expect_name()
                 self.expect(":=")
                 rhs = self.expect_name()
-                if rhs.text not in known:
+                if not scope.names_constant(rhs.text, (*earlier, *out)):
                     raise self.fail(f"{rhs.text} is not a declared constant", rhs)
                 self.expect(";")
                 var = fresh_name("y", sig.names() | {name.text, rhs.text})
                 out.append(
                     ConstantDef(name.text, var, Eq(Var(var), Const(rhs.text)))
                 )
-                known.add(name.text)
             else:
                 raise self.fail("expected 'def' or 'defconst'")
-            scope.add(out[-1])
+            _define(scope.symbols, len(earlier) + len(out) - 1, out[-1])
         return out
 
     def check_binder(self, tok: Token, scope: "_Scope") -> None:
-        if tok.text in scope.declared:
+        if tok.text in scope.symbols:
             raise self.fail(f"{tok.text} shadows a declared symbol", tok)
 
     # ------------------------------------------------------------ models
@@ -514,42 +513,36 @@ class _Scope:
     def __init__(self, system: DefinitionSystem, strict: bool):
         self.strict = strict
         self.bound: set[str] = set()
-        # Every declared or defined name, which no binder may shadow.
-        self.declared = set(system.base.names())
-        self.pred_arity: dict[str, int] = {}
-        self.const_names: set[str] = set()
-        for name, arity in system.base.predicates:
-            self.pred_arity.setdefault(name, arity)
-        self.const_names.update(system.base.constants)
-        for e in system.entries:
-            self.add(e)
+        # The system's symbol table: every declared or defined name, which
+        # no binder may shadow, read by the first definition of it, so files
+        # with clashing names still parse and the validator gets to report
+        # them.
+        self.symbols = system.symbols()
         self.equality_ok = system.base.equality
 
-    def add(self, e: Definition) -> None:
-        """Make a definition's name resolvable.  First occurrence wins, so
-        files with clashing names still parse and the validator gets to
-        report them."""
-        self.declared.add(e.name)
-        if e.name in self.pred_arity or e.name in self.const_names:
-            return
-        if isinstance(e, PredicateDef):
-            self.pred_arity[e.name] = len(e.params)
-        else:
-            self.const_names.add(e.name)
+    def arity(self, name: str) -> int | None:
+        """The arity of a predicate, None for a constant or an unknown."""
+        return self.symbols[name][1] if name in self.symbols else None
+
+    def names_constant(self, name: str, entries: Sequence[Definition]) -> bool:
+        """Whether a defconst may name `name`: a constant in the table, or
+        one a clashing defconst among `entries` defined, which the validator
+        reports."""
+        if name in self.symbols and self.arity(name) is None:
+            return True
+        return any(isinstance(e, ConstantDef) and e.name == name for e in entries)
 
     def resolve_term(self, tok: Token, p: _Parser) -> Term:
-        if tok.text in self.bound:
+        if tok.text in self.bound or tok.text not in self.symbols:
             return Var(tok.text)
-        if tok.text in self.const_names:
-            return Const(tok.text)
-        if tok.text in self.pred_arity:
+        if self.arity(tok.text) is not None:
             raise p.fail(f"predicate {tok.text} used as a term", tok)
-        return Var(tok.text)
+        return Const(tok.text)
 
     def check_application(self, tok: Token, arity: int, p: _Parser) -> None:
         if not self.strict:
             return
-        declared = self.pred_arity.get(tok.text)
+        declared = self.arity(tok.text)
         if declared is None:
             raise p.fail(f"unknown predicate {tok.text}", tok)
         if declared != arity:
@@ -563,7 +556,7 @@ class _Scope:
             raise p.fail("equality used but not declared in the signature", tok)
 
     def bare_name(self, tok: Token, p: _Parser) -> Formula:
-        declared = self.pred_arity.get(tok.text)
+        declared = self.arity(tok.text)
         if declared == 0:
             return Pred(tok.text, ())
         if self.strict:
@@ -572,7 +565,9 @@ class _Scope:
                     f"{tok.text} is declared /{declared} and needs arguments", tok
                 )
             raise p.fail(f"unknown predicate {tok.text}", tok)
-        if tok.text in self.bound or tok.text in self.const_names:
+        if tok.text in self.bound or (
+            declared is None and tok.text in self.symbols
+        ):
             raise p.fail(f"{tok.text} is a term, not a formula", tok)
         return Pred(tok.text, ())
 
@@ -600,11 +595,11 @@ def parse_formula(
     if system is None:
         system = DefinitionSystem(sig, ())
     p = _Parser(text)
-    f = p.formula(_Scope(system, strict=True))
+    scope = _Scope(system, strict=True)
+    f = p.formula(scope)
     if not p.at("EOF"):
         raise p.fail(f"trailing input {p.peek().text!r}")
-    reserved = system.base.names() | {e.name for e in system.entries}
-    return rename_apart(f, frozenset(reserved))
+    return rename_apart(f, frozenset(scope.symbols))
 
 
 def parse_formulas_infer(

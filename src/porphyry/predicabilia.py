@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .defsys import DefinitionSystem, PredicateDef, _require_valid, _unfold
+from .defsys import DefinitionSystem, PredicateDef, Symbol, _require_valid, _unfold
 from .monadic import _exact_verdicts, is_monadic
 from .semantics import (
     Countermodel,
@@ -79,17 +79,17 @@ class PorphyryTree:
 
 
 def _guarded_split(
-    e: PredicateDef, class_names: set[str]
+    e: PredicateDef, table: dict[str, Symbol]
 ) -> tuple[str, Formula] | None:
-    if len(e.params) != 1:
-        return None
-    param = e.params[0]
+    """The genus and the difference of a unary class of a valid system, or
+    None: a conjunct applying a defined symbol to the parameter is a class,
+    since the validator checked its arity."""
     parts = conjuncts(e.body)
     for i, part in enumerate(parts):
         if (
             isinstance(part, Pred)
-            and part.name in class_names
-            and part.args == (Var(param),)
+            and part.args == (Var(e.params[0]),)
+            and table[part.name][0] >= 0
         ):
             rest = parts[:i] + parts[i + 1 :]
             return part.name, big_and(rest)
@@ -113,16 +113,10 @@ def porphyry_tree(
 
 def _tree(d: DefinitionSystem) -> tuple[PorphyryTree, tuple[str, ...]]:
     """porphyry_tree over a system already validated."""
-    class_names = {
-        e.name
-        for e in d.entries
-        if isinstance(e, PredicateDef) and len(e.params) == 1
-    }
+    table = d.symbols()
     edges: list[PorphyryEdge] = []
     for e in d.entries:
-        if not (isinstance(e, PredicateDef) and len(e.params) == 1):
-            continue
-        hit = _guarded_split(e, class_names)
+        hit = _guarded_split(e, table) if e.arity == 1 else None
         if hit is not None:
             edges.append(PorphyryEdge(e.name, hit[0], hit[1]))
     in_tree = {e.species for e in edges} | {e.genus for e in edges}
@@ -130,11 +124,7 @@ def _tree(d: DefinitionSystem) -> tuple[PorphyryTree, tuple[str, ...]]:
     has_genus = {e.species for e in edges}
     roots = tuple(n for n in nodes if n not in has_genus)
     unguarded = tuple(
-        e.name
-        for e in d.entries
-        if isinstance(e, PredicateDef)
-        and len(e.params) == 1
-        and e.name not in in_tree
+        e.name for e in d.entries if e.arity == 1 and e.name not in in_tree
     )
     recheck(len(has_genus) == len(edges), "one genus edge per species")
     return PorphyryTree(nodes, tuple(edges), roots), unguarded
@@ -219,9 +209,10 @@ class Unrelated(ClassificationVerdict):
     pass
 
 
-def _species_entry(d: DefinitionSystem, species: str) -> PredicateDef:
-    entry = d.entry(species)
-    if not isinstance(entry, PredicateDef) or len(entry.params) != 1:
+def _species_index(table: dict[str, Symbol], species: str) -> int:
+    """The entry that defines species as a unary class."""
+    entry, arity = table.get(species, (-1, None))
+    if entry < 0 or arity != 1:
         raise ValueError(f"{species} is not a defined unary class")
     return entry
 
@@ -254,17 +245,15 @@ def classify_formula(
     with the refuting model kept as evidence.
     """
     _require_valid(d)
-    entry = _species_entry(d, species)
-    s_index = d.index(species)
-    earlier = {e.name for i, e in enumerate(d.entries) if i < s_index}
-    allowed = d.base.names() | earlier
+    table = d.symbols()
+    s_index = _species_index(table, species)
     fx = facts(rho)
     for name in [*fx.arities(), *fx.consts]:
-        if name not in allowed:
+        if name not in table or table[name][0] >= s_index:
             raise ValueError(
                 f"{name} is not a base or earlier-defined symbol"
             )
-    param = entry.params[0]
+    param = d.entries[s_index].params[0]
     rho = _align_free_var(rho, param)
     rho_u = _unfold(rho, d)
     psi = _unfold(Pred(species, (Var(param),)), d)
@@ -319,11 +308,8 @@ class ProximateGenusResult:
     bound: int | None
 
 
-def _class_formula(d: DefinitionSystem, name: str, param: str) -> Formula:
-    if d.base.arity(name) == 1 or (
-        isinstance(d.entry(name), PredicateDef)
-        and len(d.entry(name).params) == 1
-    ):
+def _class_formula(table: dict[str, Symbol], name: str, param: str) -> Formula:
+    if name in table and table[name][1] == 1:
         return Pred(name, (Var(param),))
     raise ValueError(f"{name} is not a unary class symbol")
 
@@ -347,11 +333,13 @@ def proximate_genus(
     ResourceCeilingError (what="sub-conjunctions") past it.
     """
     _require_valid(d)
-    entry = _species_entry(d, species)
-    param = entry.params[0]
+    table = d.symbols()
+    param = d.entries[_species_index(table, species)].params[0]
     psi = _unfold(Pred(species, (Var(param),)), d)
     parts = conjuncts(psi)
-    cand_formulas = {c: _unfold(_class_formula(d, c, param), d) for c in candidates}
+    cand_formulas = {
+        c: _unfold(_class_formula(table, c, param), d) for c in candidates
+    }
     eng = _pick_engine(
         d.base, tuple([psi] + list(cand_formulas.values())), bound, ceiling
     )

@@ -81,10 +81,12 @@ _EXACT_BITS = 1 << 16
 class ResourceCeilingError(Exception):
     """Raised when an enumeration would exceed the configured ceiling.
 
-    `needed` is the exact count of interpretations (or supports, or normal
-    form disjuncts, as `what` says) asked for, or None when that count has
-    more than 2^16 bits: it is then at least 2^65536, and is never built.
-    Counts of 2^64 or more are printed as powers of two.
+    `what` names what was counted: "interpretations" (the bounded engine),
+    "supports" (the exact engine), "normal form disjuncts" or
+    "sub-conjunctions" (proximate_genus).  `needed` is the exact count
+    asked for, or None when that count has more than 2^16 bits: it is then
+    at least 2^65536, and is never built.  Counts of 2^64 or more are
+    printed as powers of two.
     """
 
     def __init__(
@@ -92,6 +94,7 @@ class ResourceCeilingError(Exception):
     ):
         self.needed = needed
         self.ceiling = ceiling
+        self.what = what
         wanted = f"at least 2^{_EXACT_BITS}" if needed is None else _count(needed)
         super().__init__(
             f"enumeration needs {wanted} {what}, ceiling is {_count(ceiling)}"

@@ -355,6 +355,148 @@ def inject_fault(rng, d):
     return DefinitionSystem(d.base, tuple(entries)), len(entries) - 1, kind
 
 
+def _symbol_uses(f, bound=frozenset()):
+    """The predicates of f with the arities each is applied at, the
+    constants of f, and its free variables."""
+    if isinstance(f, Pred):
+        preds = {f.name: {len(f.args)}}
+        terms = f.args
+    elif isinstance(f, Eq):
+        preds, terms = {}, (f.left, f.right)
+    elif isinstance(f, (Forall, Exists)):
+        return _symbol_uses(f.body, bound | {f.var})
+    elif isinstance(f, Not):
+        return _symbol_uses(f.body, bound)
+    elif isinstance(f, (And, Or, Implies, Iff)):
+        lp, lc, lf = _symbol_uses(f.left, bound)
+        rp, rc, rf = _symbol_uses(f.right, bound)
+        for name, arities in rp.items():
+            lp[name] = lp.get(name, set()) | arities
+        return lp, lc | rc, lf | rf
+    else:
+        return {}, set(), set()
+    consts = {t.name for t in terms if isinstance(t, Const)}
+    frees = {t.name for t in terms if isinstance(t, Var) and t.name not in bound}
+    return preds, consts, frees
+
+
+def validation_oracle(d):
+    """The violations of a definition system, as (entry, kind, symbol,
+    detail) tuples in report order, from the documented rules.
+
+    A name means what its first declaration says: the base signature
+    (predicates, then constants) before any entry, and an earlier entry
+    before a later one.  An entry whose name is already taken clashes,
+    with the base or with an earlier definition; every clash comes first.
+    Then each entry in turn: its stray free variables (those beyond its
+    parameters, or beyond the variable of a constant's description),
+    each predicate applied at two arities, then each other predicate and
+    each constant it uses, by name.  A use must name a symbol declared
+    somewhere, declared before this entry and not by it, of the same
+    kind (predicate or constant), and for a predicate of the same arity.
+    """
+
+    def owner(name):
+        """(entry, arity) of the first declaration of name; entry -1 for the
+        base, arity None for a constant.  None when nothing declares it."""
+        for pname, arity in d.base.predicates:
+            if pname == name:
+                return -1, arity
+        if name in d.base.constants:
+            return -1, None
+        for i, e in enumerate(d.entries):
+            if e.name == name:
+                return i, len(e.params) if isinstance(e, PredicateDef) else None
+        return None
+
+    out = []
+    for i, e in enumerate(d.entries):
+        first = owner(e.name)[0]
+        if first == -1:
+            out.append((i, "name-clash", e.name, "clashes with base signature"))
+        elif first < i:
+            out.append((i, "name-clash", e.name, "duplicate definition"))
+    for i, e in enumerate(d.entries):
+        preds, consts, frees = _symbol_uses(e.body)
+        params = e.params if isinstance(e, PredicateDef) else (e.var,)
+        stray = sorted(frees - set(params))
+        if stray:
+            detail = "stray free variables: " + ", ".join(stray)
+            out.append((i, "free-variable-mismatch", e.name, detail))
+        uses = []
+        for name in sorted(preds):
+            if len(preds[name]) > 1:
+                detail = "applied with multiple arities"
+                out.append((i, "arity-mismatch", name, detail))
+            else:
+                uses.append((name, min(preds[name])))
+        uses += [(name, None) for name in sorted(consts)]
+        for name, used in uses:
+            found = owner(name)
+            if found is None:
+                bad = "forward-reference", "symbol not defined anywhere"
+            elif found[0] == i:
+                bad = "self-reference", "definition mentions itself"
+            elif found[0] > i:
+                bad = "forward-reference", f"defined later at entry {found[0]}"
+            elif found[1] is None and used is not None:
+                bad = "arity-mismatch", "constant applied as predicate"
+            elif used is None and found[1] is not None:
+                bad = "arity-mismatch", "predicate used as term"
+            elif used != found[1]:
+                how = "declared" if found[0] == -1 else "defined"
+                bad = "arity-mismatch", f"{how} /{found[1]}, applied /{used}"
+            else:
+                continue
+            out.append((i, bad[0], name, bad[1]))
+    return out
+
+
+def random_raw_system(rng):
+    """A definition system drawn with no regard for the rules: a few base
+    symbols and entries over one small pool of names, whose bodies apply
+    and mention any name of it at arities 0-2, with stray variables."""
+    names = ["P", "Q", "R", "c", "d", "A", "B", "e", "x"]
+    variables = ["x", "y", "z"]
+    pool = rng.sample(names, len(names))
+    npreds = rng.randrange(4)
+    base = Signature(
+        tuple((pool[i], rng.choice([0, 1, 1, 2])) for i in range(npreds)),
+        tuple(pool[npreds : npreds + rng.randrange(3)]),
+        True,
+    )
+
+    def term(scope):
+        if rng.random() < 0.5:
+            return Var(rng.choice(scope + variables[:1]))
+        return Const(rng.choice(names))
+
+    def body(scope, depth):
+        r = rng.random()
+        if depth == 0 or r < 0.35:
+            if r < 0.05:
+                return Eq(term(scope), term(scope))
+            arity = rng.choice([0, 1, 1, 2])
+            return Pred(rng.choice(names), tuple(term(scope) for _ in range(arity)))
+        if r < 0.5:
+            return Not(body(scope, depth - 1))
+        if r < 0.65:
+            v = rng.choice(variables)
+            return rng.choice([Forall, Exists])(v, body(scope + [v], depth - 1))
+        op = rng.choice([And, Or, Implies, Iff])
+        return op(body(scope, depth - 1), body(scope, depth - 1))
+
+    entries = []
+    for _ in range(rng.randrange(6)):
+        name = rng.choice(names)
+        if rng.random() < 0.75:
+            params = tuple(rng.sample(variables, rng.choice([0, 1, 1, 2])))
+            entries.append(PredicateDef(name, params, body(list(params), 3)))
+        else:
+            entries.append(ConstantDef(name, "y", body(["y"], 2)))
+    return DefinitionSystem(base, tuple(entries))
+
+
 def random_model(rng, pred_names, size):
     preds = {
         p: frozenset((e,) for e in range(size) if rng.random() < 0.5)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -9,6 +10,8 @@ from helpers import (
     occurring,
     random_mixed_model,
     random_mixed_system,
+    random_raw_system,
+    validation_oracle,
 )
 from porphyry import (
     And,
@@ -137,6 +140,31 @@ def test_validate_multiple_faults_all_reported():
         (0, "self-reference", "A"),
         (1, "forward-reference", "Z"),
     ]
+
+
+def test_validate_matches_oracle_on_random_systems():
+    rng = random.Random(17)
+    variants = set()
+    for _ in range(3000):
+        d = random_raw_system(rng)
+        report = validate(d)
+        got = [(v.entry, v.kind, v.symbol, v.detail) for v in report.violations]
+        assert got == validation_oracle(d), d
+        assert report.valid == (not got)
+        variants |= {(v[1], re.sub(r"\d+|:.*", "", v[3])) for v in got}
+    assert variants == {
+        ("name-clash", "clashes with base signature"),
+        ("name-clash", "duplicate definition"),
+        ("forward-reference", "symbol not defined anywhere"),
+        ("forward-reference", "defined later at entry "),
+        ("self-reference", "definition mentions itself"),
+        ("free-variable-mismatch", "stray free variables"),
+        ("arity-mismatch", "applied with multiple arities"),
+        ("arity-mismatch", "declared /, applied /"),
+        ("arity-mismatch", "defined /, applied /"),
+        ("arity-mismatch", "constant applied as predicate"),
+        ("arity-mismatch", "predicate used as term"),
+    }
 
 
 def test_full_signature_and_accessors():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from unittest import mock
 
@@ -320,31 +321,38 @@ def test_decide_sat_equality_mode():
     one = F("(forall x. forall y. x = y) & (exists z. !(z = y))", sige)
     assert decide_sat(one, sige, allow_equality=True) == Unsat()
 
-    # Free variable y; the bound is 2^k * max(1, quantifier depth).
+    # The bound is 2^k * max(1, q + h): k predicates, quantifier depth q,
+    # and h holders (free variables and constants), each an outermost exists.
     sig2e = Signature((("M1", 1), ("M2", 1)), (), True)
+    sig3c = Signature((("M1", 1),), ("a", "b", "c"), True)
     cases = [
-        ("exists x. !(x = y) & M1(x) & !M1(y)", 2),
-        ("(forall x. x = y) & M1(y) & M2(y)", 4),
-        ("exists x. exists z. !(x = z) & !(x = y) & !(z = y) & M1(x)", 4),
-        ("M1(y) & (forall x. M1(x) -> !(x = y))", 2),
-        ("(forall x. x = y) & (exists z. !(z = y))", 1),
+        ("exists x. !(x = y) & M1(x) & !M1(y)", sig2e, 4),
+        ("(forall x. x = y) & M1(y) & M2(y)", sig2e, 8),
+        ("exists x. exists z. !(x = z) & !(x = y) & !(z = y) & M1(x)", sig2e, 6),
+        ("M1(y) & (forall x. M1(x) -> !(x = y))", sig2e, 4),
+        ("(forall x. x = y) & (exists z. !(z = y))", sig2e, 2),
+        # Three holders in one cell need three elements: past 2^k * q = 2.
+        ("!(x = y) & !(y = z) & !(x = z) & M1(x) & M1(y) & M1(z)", sig2e, 6),
+        ("!(a = b) & !(b = c) & !(a = c) & M1(a) & M1(b) & M1(c)", sig3c, 6),
     ]
-    for text, bound in cases:
-        f = F(text, sig2e)
-        sizes = [
+    for text, sig, bound in cases:
+        f = F(text, sig)
+        frees = sorted(free_vars(f))
+        sizes = (
             n
             for n in range(1, bound + 1)
             if any(
-                naive_eval(f, m, {"y": e})
-                for m in all_models(sig2e.predicates, (), n)
-                for e in range(n)
+                naive_eval(f, m, dict(zip(frees, elems)))
+                for m in all_models(sig.predicates, sig.constants, n)
+                for elems in itertools.product(range(n), repeat=len(frees))
             )
-        ]
-        v = decide_sat(f, sig2e, allow_equality=True)
-        assert isinstance(v, Sat) == bool(sizes), text
-        if sizes:
+        )
+        first = next(sizes, None)
+        v = decide_sat(f, sig, allow_equality=True)
+        assert isinstance(v, Sat) == (first is not None), text
+        if first is not None:
             assert naive_eval(f, v.model, dict(v.assignment)), text
-            assert v.model.size == sizes[0], text
+            assert v.model.size == first, text
 
 
 def test_decide_entails_basic():

@@ -17,6 +17,7 @@ from porphyry import (
     And,
     Const,
     Countermodel,
+    DefinitionSystem,
     Eq,
     Exists,
     Falsum,
@@ -28,18 +29,23 @@ from porphyry import (
     Not,
     Or,
     Pred,
+    PredicateDef,
     DEFAULT_CEILING,
     ResourceCeilingError,
     Signature,
     Var,
     Verum,
     RecheckError,
+    big_and,
     bounded_entails,
     count_models,
+    decide_sat,
     default_bound,
     enumerate_models,
     evaluate,
     free_vars,
+    monadic_normal_form,
+    proximate_genus,
 )
 
 SIG2 = Signature((("M1", 1), ("M2", 1)), (), False)
@@ -89,6 +95,36 @@ def test_enumerate_order_and_coverage():
         for *masks, c in product(range(16), range(4), range(2), range(2))
     ]
     assert list(enumerate_models(SIGX, 2)) == expected
+
+
+def test_ceiling_error_keeps_what_it_counted():
+    m1, m2 = Pred("M1", (Var("x"),)), Pred("M2", (Var("x"),))
+    # The body of S unfolds to three conjuncts, so 2^3 = 8 sub-conjunctions,
+    # while the exact engine needs only 2^2 = 4 supports over M1.
+    d = DefinitionSystem(
+        Signature((("M1", 1),), (), False),
+        (
+            PredicateDef("A", ("x",), m1),
+            PredicateDef("S", ("x",), big_and((Pred("A", (Var("x"),)), m1, m1))),
+        ),
+    )
+    calls = [
+        (
+            lambda: bounded_entails(SIG2, [], Implies(m1, m2), 2, 3),
+            "interpretations",
+        ),
+        (lambda: decide_sat(And(m1, m2), SIG2, ceiling=3), "supports"),
+        (
+            lambda: monadic_normal_form(Or(m1, m2), "x", SIG2, 1),
+            "normal form disjuncts",
+        ),
+        (lambda: proximate_genus("S", ["A"], d, ceiling=7), "sub-conjunctions"),
+    ]
+    for call, what in calls:
+        with pytest.raises(ResourceCeilingError) as exc:
+            call()
+        assert exc.value.what == what
+        assert f" {what}, ceiling is " in str(exc.value)
 
 
 def test_enumerate_ceiling():
