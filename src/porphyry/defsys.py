@@ -10,10 +10,17 @@ satisfaction is checked per finite model and reported, never assumed.
 Because each body mentions only earlier symbols, a model is expanded one
 entry at a time (`expand_model`): each body is evaluated once, as written,
 over the extents already in hand.  `unfold` instead rewrites a formula into
-base symbols, for display and for the entailment engines.  Both read an
-atom that mentions a constant which is not uniquely described as "the atom
-holds of some element the description holds of", through one rewrite,
-`_describe_atom`.
+base symbols, for display and for the entailment engines.  It expands
+top-down from the formula, on an explicit stack: each use of a defined
+atom reads the entry's raw body once, with the arguments for the
+parameters, so only the entries the formula reaches are read and the time
+is linear in the output (the unfolded formula is a tree view of the
+definitions' DAG).  One last pass names the bound variables: in pre-order
+each binder keeps its written name unless a free variable of the output,
+a symbol of the system or an earlier binder has it, and then takes the
+least free suffix.  Both read an atom that mentions a constant which is
+not uniquely described as "the atom holds of some element the
+description holds of", through the one expansion, `_expand`.
 
 What a name is, predicate or constant, its arity and the entry that
 defines it, is read from one symbol table, `DefinitionSystem.symbols`,
@@ -25,13 +32,15 @@ wins over a definition, and the first definition over later ones.
 Well-formedness is a property of the system, not of each question asked
 of it, so each public call validates its system once: `unfold` is
 `_require_valid` and then `_unfold`, and callers that unfold several
-formulas over one system validate once and call `_unfold`.
+formulas over one system validate once and call `_unfold`.  The symbol
+table is built once per call too: `_require_valid` returns the one it
+validated with, and `_unfold` reads that.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, field
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -51,15 +60,10 @@ from .syntax import (
     Term,
     Var,
     Verum,
-    all_names,
-    big_and,
     conjuncts,
     facts,
-    fresh_name,
     quantifier_depth,
     render,
-    rename_apart,
-    subst,
 )
 
 VIOLATION_KINDS = (
@@ -192,6 +196,11 @@ class Violation:
 class ValidationReport:
     valid: bool
     violations: tuple[Violation, ...]
+    # The symbol table the report was read against, for callers that read
+    # names of the system next.
+    symbols: dict[str, Symbol] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
 
 def validate(d: DefinitionSystem) -> ValidationReport:
@@ -239,7 +248,7 @@ def validate(d: DefinitionSystem) -> ValidationReport:
             bad = _misuse(table, i, name, arity)
             if bad is not None:
                 vs.append(Violation(i, bad[0], name, bad[1]))
-    return ValidationReport(valid=not vs, violations=tuple(vs))
+    return ValidationReport(not vs, tuple(vs), table)
 
 
 def _misuse(
@@ -267,13 +276,16 @@ def _misuse(
     return None
 
 
-def _require_valid(d: DefinitionSystem) -> None:
+def _require_valid(d: DefinitionSystem) -> dict[str, Symbol]:
+    """d's symbol table, built once for the check and returned for the
+    caller's own name reads; ValueError when d is invalid."""
     report = validate(d)
     if not report.valid:
         lines = ", ".join(
             f"entry {v.entry} {v.kind} ({v.symbol})" for v in report.violations
         )
         raise ValueError(f"invalid definition system: {lines}")
+    return report.symbols
 
 
 # ------------------------------------------------------ dependency graph
@@ -299,8 +311,7 @@ class DependencyGraph:
 def dependency_graph(d: DefinitionSystem) -> DependencyGraph:
     """Nodes are definienda; edges run from a definition to each defined
     symbol its body mentions.  Acyclic for valid systems by construction."""
-    _require_valid(d)
-    table = d.symbols()
+    table = _require_valid(d)
     edges: list[tuple[str, str]] = []
     for i, e in enumerate(d.entries):
         fx = facts(e.body)
@@ -314,156 +325,157 @@ def dependency_graph(d: DefinitionSystem) -> DependencyGraph:
 
 # -------------------------------------------------------------- unfolding
 
-# What a constant stands for when an atom mentions it: the variable of its
-# description, the description itself, and the term of a `defconst e := t`
-# (None when the constant is read by its description).
-_Described = dict[str, tuple[str, Formula, Term | None]]
 
-
-def _term(e: ConstantDef) -> Term | None:
-    """The term e is defined as, unless e has no term form or it is a
-    variable."""
-    term = e.term_form()
-    return None if isinstance(term, Var) else term
-
-
-def _describe(g: Formula, described: _Described, used: set[str]) -> Formula:
-    """g with every atom rewritten by _describe_atom."""
-    if isinstance(g, (Verum, Falsum)):
-        return g
-    if isinstance(g, (Pred, Eq)):
-        return _describe_atom(g, described, used)
-    if isinstance(g, Not):
-        return Not(_describe(g.body, described, used))
-    if isinstance(g, BINARY):
-        return type(g)(
-            _describe(g.left, described, used), _describe(g.right, described, used)
-        )
-    if isinstance(g, QUANTIFIERS):
-        return type(g)(g.var, _describe(g.body, described, used))
-    raise TypeError(f"not a formula: {g!r}")
-
-
-def _describe_atom(
-    atom: Formula,
-    described: _Described,
-    used: set[str],
-    inner=lambda atom: atom,
+def _expand(
+    f: Formula, table: dict[str, Symbol], entries: Sequence[Definition]
 ) -> Formula:
-    """The atom as written, with each constant in `described` read as some
-    element its description holds of: `D(k)` becomes
-    `exists w. desc_k(w) & D(w)`, which is `D` of the unique element when
-    there is one.  A constant with a term is replaced by it instead.  inner
-    rewrites the atom once no described constant is left in it; fresh names
-    come from, and are added to, `used`."""
-    terms = atom.args if isinstance(atom, Pred) else (atom.left, atom.right)
-    target = next(
-        (t.name for t in terms if isinstance(t, Const) and t.name in described),
-        None,
-    )
-    if target is None:
-        return inner(atom)
-    var, body, term = described[target]
-    if term is not None:
-        return _describe_atom(
-            _replace_const(atom, target, term), described, used, inner
-        )
-    waist = fresh_name(var, used)
-    used.add(waist)
-    inst = rename_apart(body, reserved=used)
-    used |= all_names(inst)
-    rest = _replace_const(atom, target, Var(waist))
-    return Exists(
-        waist,
-        And(
-            subst(inst, {var: Var(waist)}),
-            _describe_atom(rest, described, used, inner),
-        ),
-    )
+    """f with each name the table reads as an entry (index >= 0) replaced
+    by that entry, top-down, so that only what f reaches is read.
 
+    An atom of a defined predicate becomes the predicate's body with the
+    arguments for the parameters.  A defined constant is read by its
+    description around the atom that mentions it, as written: `D(k)`
+    becomes `exists w. desc_k(w) & D(w)`, one binder per distinct constant
+    in argument order, before D is expanded.  But a constant whose
+    description unfolds to the one atom `w = t`, as `defconst k := t`
+    does, is replaced by t.
 
-def _replace_const(atom: Formula, name: str, t: Term) -> Formula:
-    def rt(x: Term) -> Term:
-        return t if isinstance(x, Const) and x.name == name else x
-
-    if isinstance(atom, Pred):
-        return Pred(atom.name, tuple(rt(x) for x in atom.args))
-    return Eq(rt(atom.left), rt(atom.right))
-
-
-class _Expander:
-    """Precomputes fully expanded bodies, innermost first in entry order."""
-
-    def __init__(self, d: DefinitionSystem):
-        self.preds: dict[str, tuple[tuple[str, ...], Formula]] = {}
-        self.consts: _Described = {}
-        self.used: set[str] = set(d.symbols())
-        for e in d.entries:
-            body = self.expand(e.body)
-            if isinstance(e, PredicateDef):
-                self.preds[e.name] = (e.params, body)
-            else:
-                term = _term(ConstantDef(e.name, e.var, body))
-                self.consts[e.name] = (e.var, body, term)
-
-    def expand(self, g: Formula) -> Formula:
-        """g over base symbols only.  A defined predicate applied to a
-        described constant is described first, at the atom as written, and
-        then expanded; the other atoms are described after every defined
-        predicate is expanded, which fixes the order fresh names are taken
-        in."""
-        self.used |= all_names(g)
-        return _describe(self._expand_preds(g), self.consts, self.used)
-
-    def _expand_preds(self, g: Formula) -> Formula:
-        if isinstance(g, (Verum, Falsum, Eq)):
-            return g
-        if isinstance(g, Pred):
-            if g.name not in self.preds:
-                return g
-            return _describe_atom(g, self.consts, self.used, self._instance)
-        if isinstance(g, Not):
-            return Not(self._expand_preds(g.body))
+    One explicit-stack walk emits the output in pre-order.  Each raw body
+    is read once per use, under an environment from its terms to what they
+    stand for: a binder (by its index in pre-order), a free variable of f
+    or a base constant.  Then each binder is named, in pre-order: it
+    keeps its written name unless that is a free variable of the output, a
+    symbol or an earlier binder's name, and then takes the least free
+    suffix, as `fresh_name` does, counted on from the last one taken for
+    that name.  Last, the tree is built bottom-up from the emitted ops.
+    """
+    ops: list[tuple] = []  # the output in pre-order: (node type, fields...)
+    written: list[str] = []  # each binder's written name, in pre-order
+    taken: set[str] = set()  # the output's free variables, then binder names
+    reads: dict[str, Const] = {}  # the defined constants that read as a term
+    # An item is a formula with what its terms stand for, or a constant
+    # whose description was just emitted, with where its wrap starts in ops.
+    stack: list[tuple] = [(f, {})]
+    while stack:
+        g, env = stack.pop()
         if isinstance(g, BINARY):
-            return type(g)(self._expand_preds(g.left), self._expand_preds(g.right))
-        if isinstance(g, QUANTIFIERS):
-            return type(g)(g.var, self._expand_preds(g.body))
-        raise TypeError(f"not a formula: {g!r}")
+            ops.append((type(g),))
+            stack += ((g.right, env), (g.left, env))
+        elif isinstance(g, (Pred, Eq)):
+            name, raw = (
+                (g.name, g.args) if isinstance(g, Pred) else (None, (g.left, g.right))
+            )
+            args = [
+                env.get(t, reads.get(t.name, t) if isinstance(t, Const) else t)
+                for t in raw
+            ]
+            c = next((a for a in args if _by_description(a, table)), None)
+            j, arity = table[name] if name is not None else (-1, None)
+            if c is not None:
+                e = entries[table[c.name][0]]
+                b = len(written)
+                written.append(e.var)
+                stack += [
+                    (g, {**env, c: b}),
+                    (c, len(ops)),
+                    (e.body, {Var(e.var): b}),
+                ]
+                ops += [(Exists, b), (And,)]
+            elif j >= 0 and arity is not None:
+                e = entries[j]
+                stack.append((e.body, dict(zip(map(Var, e.params), args))))
+            else:
+                taken.update(a.name for a in args if isinstance(a, Var))
+                ops.append((type(g), name, args))
+        elif isinstance(g, Const):
+            # g's description is emitted.  When it unfolded to the one atom
+            # `w = t`, g reads as t, as `defconst g := t` does: the wrap is
+            # undone, and the atom that mentions g reads t.
+            desc = ops[env + 2 :]
+            b = len(written) - 1
+            if len(desc) == 1 and desc[0][0] is Eq and b in desc[0][2]:
+                left, right = desc[0][2]
+                t = right if left == b else left
+                if isinstance(t, Const):
+                    reads[g.name] = stack[-1][1][g] = t
+                    del ops[env:]
+                    written.pop()
+        elif isinstance(g, Not):
+            ops.append((Not,))
+            stack.append((g.body, env))
+        elif isinstance(g, QUANTIFIERS):
+            ops.append((type(g), len(written)))
+            stack.append((g.body, {**env, Var(g.var): len(written)}))
+            written.append(g.var)
+        elif isinstance(g, (Verum, Falsum)):
+            ops.append((type(g),))
+        else:
+            raise TypeError(f"not a formula: {g!r}")
 
-    def _instance(self, atom: Pred) -> Formula:
-        params, pbody = self.preds[atom.name]
-        inst = rename_apart(pbody, reserved=self.used)
-        self.used |= all_names(inst)
-        return subst(inst, dict(zip(params, atom.args)))
+    names: list[str] = []
+    cursor: dict[str, int] = {}
+    for base in written:
+        name = base
+        if name in table or name in taken:
+            k = cursor.get(base, 1)
+            while f"{base}{k}" in table or f"{base}{k}" in taken:
+                k += 1
+            cursor[base] = k
+            name = f"{base}{k}"
+        taken.add(name)
+        names.append(name)
+
+    out: list[Formula] = []
+    for op in reversed(ops):
+        kind = op[0]
+        if kind is Pred or kind is Eq:
+            terms = tuple(Var(names[a]) if isinstance(a, int) else a for a in op[2])
+            out.append(Pred(op[1], terms) if kind is Pred else Eq(*terms))
+        elif kind is Not:
+            out.append(Not(out.pop()))
+        elif kind in QUANTIFIERS:
+            out.append(kind(names[op[1]], out.pop()))
+        elif kind in BINARY:
+            left = out.pop()
+            out.append(kind(left, out.pop()))
+        else:
+            out.append(kind())
+    return out.pop()
+
+
+def _by_description(t: object, table: dict[str, Symbol]) -> bool:
+    """Whether t, an argument as `_expand` reads it, is a defined constant
+    to read by its description."""
+    if not isinstance(t, Const):
+        return False
+    j, arity = table[t.name]
+    return j >= 0 and arity is None
 
 
 def unfold(f: Formula, d: DefinitionSystem) -> Formula:
     """Replace every defined symbol in f by its base-signature expansion.
 
-    Definitions expand innermost first, in ascending entry order.  A
-    constant `defconst e := t` is replaced by t; any other defined constant
-    is read by a descriptive existential around the atom that mentions it,
-    as written (`D(k)` becomes `exists w. desc_k(w) & D(w)` before D is
-    expanded), which is the atom of the unique element whenever the
-    description is uniquely satisfied.  This is the reading expand_model
-    gives.
+    Expansion runs top-down from f and reads only the entries f reaches.
+    A constant `defconst e := t` is replaced by t; any other defined
+    constant is read by a descriptive existential around the atom that
+    mentions it, as written (`D(k)` becomes `exists w. desc_k(w) & D(w)`
+    before D is expanded), which is the atom of the unique element whenever
+    the description is uniquely satisfied.  This is the reading
+    expand_model gives.  Each binder keeps the name written in its
+    definition, unless that is a free variable of the output, a symbol of
+    the system or an earlier binder's name in pre-order; then it takes the
+    least free suffix (`y`, `y1`, `y2`, ...).
     """
-    _require_valid(d)
-    return _unfold(f, d)
+    return _unfold(f, d, _require_valid(d))
 
 
-def _unfold(f: Formula, d: DefinitionSystem) -> Formula:
-    """unfold over a system already validated."""
-    table = d.symbols()
+def _unfold(f: Formula, d: DefinitionSystem, table: dict[str, Symbol]) -> Formula:
+    """unfold over a system already validated, with its symbol table."""
     fx = facts(f)
-    names = [*fx.arities(), *fx.consts]
-    for name in names:
+    for name in [*fx.arities(), *fx.consts]:
         if name not in table:
             raise ValueError(f"symbol {name} not declared anywhere")
-    if all(table[name][0] < 0 for name in names):
-        # Nothing to expand: the expander would rebuild an equal tree.
-        return rename_apart(f)
-    return rename_apart(_Expander(d).expand(f))
+    return _expand(f, table, d.entries)
 
 
 # ------------------------------------------------------- model expansion
@@ -492,13 +504,12 @@ def expand_model(
     reads as "some element of its extent", the reading unfold gives.
     ValueError when m leaves a base predicate or constant uninterpreted.
     """
-    _require_valid(d)
+    table = _require_valid(d)
     missing = [
         name for name, _ in d.base.predicates if name not in m.predicates
     ] + [c for c in d.base.constants if c not in m.constants]
     if missing:
         raise ValueError("model is missing base symbols: " + ", ".join(missing))
-    reserved = set(d.symbols())
     # Extents as boolean arrays, one axis per argument and a model axis of
     # length 1, as semantics._Tensors reads them.
     arrays = {
@@ -506,29 +517,32 @@ def expand_model(
         for name, arity in d.base.predicates
     }
     values = {c: m.constants[c] for c in d.base.constants}
-    described: _Described = {}
+    # Once in the model, an entry reads as a base symbol (entry -1 in the
+    # table), except a constant without one element, which reads by its
+    # extent: `k(w)` holds of each element of it.
+    entries = list(d.entries)
+    described = False
     preds = dict(m.predicates)
     consts = dict(m.constants)
     checks: list[ConstantCheck] = []
-    for e in d.entries:
+    for i, e in enumerate(d.entries):
         holders = e.params if isinstance(e, PredicateDef) else (e.var,)
-        body = e.body
-        if described:
-            used = reserved | all_names(body) | set(holders)
-            body = _describe(body, described, used)
+        body = _expand(e.body, table, entries) if described else e.body
         holds = _holds(body, holders, arrays, values, m.size)
         if isinstance(e, PredicateDef):
             arrays[e.name] = holds[..., None]
             preds[e.name] = frozenset(map(tuple, np.argwhere(holds).tolist()))
+            table[e.name] = (-1, e.arity)
             continue
         extent = tuple(np.flatnonzero(holds).tolist())
         checks.append(ConstantCheck(e.name, extent, len(extent) == 1))
         if len(extent) == 1:
             values[e.name] = consts[e.name] = extent[0]
+            table[e.name] = (-1, None)
         else:
-            # Described by its extent: `k(w)` holds of each element of it.
             arrays[e.name] = holds[:, None]
-            described[e.name] = (e.var, Pred(e.name, (Var(e.var),)), _term(e))
+            entries[i] = ConstantDef(e.name, e.var, Pred(e.name, (Var(e.var),)))
+            described = True
     return FiniteModel(m.size, consts, preds), tuple(checks)
 
 
@@ -571,29 +585,24 @@ def irreducibility_warnings(
 ) -> tuple[RedundancyWarning, ...]:
     """Flag top-level conjuncts removable without changing truth on any base
     model up to size_bound.  A bounded proxy for minimality; warning only."""
-    _require_valid(d)
-    exp = _Expander(d)
+    table = _require_valid(d)
     warnings: list[RedundancyWarning] = []
     for i, e in enumerate(d.entries):
         parts = conjuncts(e.body)
         if len(parts) < 2:
             continue
-        full = exp.expand(e.body)
-        reduced = [
-            exp.expand(big_and(parts[:j] + parts[j + 1 :])) for j in range(len(parts))
-        ]
-        # full is reduced[j] with one more conjunct, so it entails reduced[j]
-        # and the two agree on every model where reduced[j] entails full.
-        # Valid bodies have no free variables beyond their parameters, and a
-        # parameter the body ignores cannot change its truth, so scanning
-        # the free variables of full covers every assignment that matters.
-        hits = _countermodels(
-            d.base,
-            [full, *reduced],
-            [((j + 1,), 0) for j in range(len(parts))],
-            size_bound,
-            ceiling,
-        )
+        # The body is the rest with conjunct j added, so it entails the
+        # rest, and the two agree on every model where the rest entails
+        # conjunct j.  That query conjoins the other conjuncts as premises,
+        # so each conjunct is unfolded and evaluated once, not once per
+        # rest.  Valid bodies have no free variables beyond their
+        # parameters, and a parameter the body ignores cannot change its
+        # truth, so scanning the conjuncts' free variables covers every
+        # assignment that matters.
+        rows = [_expand(part, table, d.entries) for part in parts]
+        n = len(parts)
+        queries = [(tuple(k for k in range(n) if k != j), j) for j in range(n)]
+        hits = _countermodels(d.base, rows, queries, size_bound, ceiling)
         warnings += [
             RedundancyWarning(i, j, render(parts[j]))
             for j, hit in enumerate(hits)

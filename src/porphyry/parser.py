@@ -302,8 +302,7 @@ class _Parser:
                 name = self.expect_name()
                 self.expect(":=")
                 rhs = self.expect_name()
-                if not scope.names_constant(rhs.text, (*earlier, *out)):
-                    raise self.fail(f"{rhs.text} is not a declared constant", rhs)
+                scope.check_constant(rhs, self)
                 self.expect(";")
                 var = fresh_name("y", sig.names() | {name.text, rhs.text})
                 out.append(
@@ -524,13 +523,14 @@ class _Scope:
         """The arity of a predicate, None for a constant or an unknown."""
         return self.symbols[name][1] if name in self.symbols else None
 
-    def names_constant(self, name: str, entries: Sequence[Definition]) -> bool:
-        """Whether a defconst may name `name`: a constant in the table, or
-        one a clashing defconst among `entries` defined, which the validator
-        reports."""
-        if name in self.symbols and self.arity(name) is None:
-            return True
-        return any(isinstance(e, ConstantDef) and e.name == name for e in entries)
+    def check_constant(self, tok: Token, p: _Parser) -> None:
+        """A defconst names a constant of the table; a predicate there is
+        a term misused, as in a body."""
+        reading = self.symbols.get(tok.text)
+        if reading is None:
+            raise p.fail(f"{tok.text} is not a declared constant", tok)
+        if reading[1] is not None:
+            raise p.fail(f"predicate {tok.text} used as a term", tok)
 
     def resolve_term(self, tok: Token, p: _Parser) -> Term:
         if tok.text in self.bound or tok.text not in self.symbols:

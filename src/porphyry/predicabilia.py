@@ -14,8 +14,9 @@ pair's two rows.  The batch scans the same predicates and holders in the
 same order as either entailment alone, so each countermodel in its
 evidence is that entailment's own first hit.
 
-Each public call validates its definition system once, then unfolds and
-builds the tree with the private forms `_unfold` and `_tree`.
+Each public call validates its definition system once, building its
+symbol table once, then unfolds and builds the tree with the private forms
+`_unfold` and `_tree`, which read that table.
 """
 
 from __future__ import annotations
@@ -107,13 +108,14 @@ def porphyry_tree(
     with no guarded shape and no species of their own are unguarded and
     stay outside the tree.
     """
-    _require_valid(d)
-    return _tree(d)
+    return _tree(d, _require_valid(d))
 
 
-def _tree(d: DefinitionSystem) -> tuple[PorphyryTree, tuple[str, ...]]:
-    """porphyry_tree over a system already validated."""
-    table = d.symbols()
+def _tree(
+    d: DefinitionSystem, table: dict[str, Symbol]
+) -> tuple[PorphyryTree, tuple[str, ...]]:
+    """porphyry_tree over a system already validated, with its symbol
+    table."""
     edges: list[PorphyryEdge] = []
     for e in d.entries:
         hit = _guarded_split(e, table) if e.arity == 1 else None
@@ -244,8 +246,7 @@ def classify_formula(
     definition body.  Accident: the body entails rho but not conversely,
     with the refuting model kept as evidence.
     """
-    _require_valid(d)
-    table = d.symbols()
+    table = _require_valid(d)
     s_index = _species_index(table, species)
     fx = facts(rho)
     for name in [*fx.arities(), *fx.consts]:
@@ -255,14 +256,14 @@ def classify_formula(
             )
     param = d.entries[s_index].params[0]
     rho = _align_free_var(rho, param)
-    rho_u = _unfold(rho, d)
-    psi = _unfold(Pred(species, (Var(param),)), d)
+    rho_u = _unfold(rho, d, table)
+    psi = _unfold(Pred(species, (Var(param),)), d, table)
 
-    tree, _ = _tree(d)
+    tree, _ = _tree(d, table)
     edge = next((e for e in tree.edges if e.species == species), None)
     delta_u = None
     if edge is not None:
-        delta_u = _unfold(_align_free_var(edge.difference, param), d)
+        delta_u = _unfold(_align_free_var(edge.difference, param), d, table)
 
     pool = [rho_u, psi] + ([delta_u] if delta_u is not None else [])
     eng = _pick_engine(d.base, tuple(pool), bound, ceiling)
@@ -332,13 +333,13 @@ def proximate_genus(
     are counted against the ceiling before any is costed:
     ResourceCeilingError (what="sub-conjunctions") past it.
     """
-    _require_valid(d)
-    table = d.symbols()
+    table = _require_valid(d)
     param = d.entries[_species_index(table, species)].params[0]
-    psi = _unfold(Pred(species, (Var(param),)), d)
+    psi = _unfold(Pred(species, (Var(param),)), d, table)
     parts = conjuncts(psi)
     cand_formulas = {
-        c: _unfold(_class_formula(table, c, param), d) for c in candidates
+        c: _unfold(_class_formula(table, c, param), d, table)
+        for c in candidates
     }
     eng = _pick_engine(
         d.base, tuple([psi] + list(cand_formulas.values())), bound, ceiling
@@ -430,8 +431,8 @@ def generators(
     for s in sentences:
         if free_vars(s):
             raise ValueError(f"not a sentence: {render(s)}")
-    _require_valid(d)
-    unfolded = [_unfold(s, d) for s in sentences]
+    table = _require_valid(d)
+    unfolded = [_unfold(s, d, table) for s in sentences]
     eng = _pick_engine(d.base, tuple(unfolded), bound, ceiling)
     n = len(unfolded)
     answers = iter(

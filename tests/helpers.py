@@ -452,6 +452,116 @@ def validation_oracle(d):
     return out
 
 
+def naive_unfold(f, d):
+    """f over the base symbols of a valid system d, by substitution alone,
+    from the documented reading.
+
+    An atom of a defined predicate is its body with the arguments
+    substituted for the parameters.  A defined constant whose
+    description, unfolded, is `v = t` or `t = v` for its variable v and a
+    constant t is replaced by t.  Any other defined constant k is read at
+    each atom that mentions it, distinct constants in argument order, as
+    `exists w. desc_k(w) & atom[w/k]`.  Every binder of a substituted body
+    gets a new name `_<n>`, so no substitution captures a variable.
+    """
+    defs = {e.name: e for e in d.entries}
+    counter = itertools.count()
+
+    def substitute(g, mapping):
+        if isinstance(g, (Pred, Eq)):
+            return replace_terms(
+                g, lambda t: mapping.get(t.name, t) if isinstance(t, Var) else t
+            )
+        if isinstance(g, Not):
+            return Not(substitute(g.body, mapping))
+        if isinstance(g, (And, Or, Implies, Iff)):
+            return type(g)(substitute(g.left, mapping), substitute(g.right, mapping))
+        if isinstance(g, (Forall, Exists)):
+            w = f"_{next(counter)}"
+            return type(g)(w, substitute(g.body, {**mapping, g.var: Var(w)}))
+        return g
+
+    def term_of(e):
+        v = f"_{next(counter)}"
+        u = go(substitute(e.body, {e.var: Var(v)}))
+        if isinstance(u, Eq):
+            sides = (u.left, u.right)
+            if Var(v) in sides:
+                other = sides[1] if sides[0] == Var(v) else sides[0]
+                if isinstance(other, Const):
+                    return other
+        return None
+
+    def go(g):
+        if isinstance(g, (Pred, Eq)):
+            terms = g.args if isinstance(g, Pred) else (g.left, g.right)
+            for t in terms:
+                e = defs.get(t.name) if isinstance(t, Const) else None
+                if isinstance(e, ConstantDef):
+                    term = term_of(e)
+                    w = term if term is not None else Var(f"_{next(counter)}")
+                    rest = replace_terms(g, lambda x: w if x == t else x)
+                    if term is not None:
+                        return go(rest)
+                    desc = go(substitute(e.body, {e.var: w}))
+                    return Exists(w.name, And(desc, go(rest)))
+            e = defs.get(g.name) if isinstance(g, Pred) else None
+            if isinstance(e, PredicateDef):
+                return go(substitute(e.body, dict(zip(e.params, g.args))))
+            return g
+        if isinstance(g, Not):
+            return Not(go(g.body))
+        if isinstance(g, (And, Or, Implies, Iff)):
+            return type(g)(go(g.left), go(g.right))
+        if isinstance(g, (Forall, Exists)):
+            return type(g)(g.var, go(g.body))
+        return g
+
+    return go(f)
+
+
+def replace_terms(atom, new):
+    """The atom with each term t replaced by new(t)."""
+    if isinstance(atom, Pred):
+        return Pred(atom.name, tuple(map(new, atom.args)))
+    return Eq(new(atom.left), new(atom.right))
+
+
+def alpha_equivalent(f, g, left=None, right=None, depth=0):
+    """Whether f and g are the same tree up to the names of bound
+    variables: each bound variable is compared by the depth of its
+    binder, each free variable by name."""
+    left, right = left or {}, right or {}
+    if type(f) is not type(g):
+        return False
+
+    def same(s, t):
+        if isinstance(s, Var) and isinstance(t, Var):
+            return left.get(s.name, s.name) == right.get(t.name, t.name)
+        return s == t
+
+    if isinstance(f, Pred):
+        return (
+            f.name == g.name
+            and len(f.args) == len(g.args)
+            and all(map(same, f.args, g.args))
+        )
+    if isinstance(f, Eq):
+        return same(f.left, g.left) and same(f.right, g.right)
+    if isinstance(f, Not):
+        return alpha_equivalent(f.body, g.body, left, right, depth)
+    if isinstance(f, (And, Or, Implies, Iff)):
+        return all(
+            alpha_equivalent(a, b, left, right, depth)
+            for a, b in ((f.left, g.left), (f.right, g.right))
+        )
+    if isinstance(f, (Forall, Exists)):
+        return alpha_equivalent(
+            f.body, g.body, {**left, f.var: depth}, {**right, g.var: depth}, depth + 1
+        )
+    return True
+
+
 def random_raw_system(rng):
     """A definition system drawn with no regard for the rules: a few base
     symbols and entries over one small pool of names, whose bodies apply

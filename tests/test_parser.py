@@ -143,6 +143,25 @@ def test_defconst_requires_declared_constant():
         parse("sig { pred M1/1; } defsys { defconst e := d; }")
 
 
+def test_defconst_of_a_predicate_is_a_term_misused():
+    # A reads as the base predicate, even after a clashing `defconst A`,
+    # so naming it as a constant fails as a body term A would.
+    text = "sig { pred A/1; const c; }\ndefsys { defconst A := c;\n  defconst B := A; }"
+    assert _where(lambda: parse(text)) == ("predicate A used as a term", 3, 17)
+    body = "sig { pred A/1; const c; equality; }\ndefsys { defconst A := c;"
+    with pytest.raises(ParseError, match="predicate A used as a term"):
+        parse(body + " def D(x) := x = A; }")
+    earlier_def = "sig { const c; } defsys { def A() := true; defconst A := c;"
+    with pytest.raises(ParseError, match="predicate A used as a term"):
+        parse(earlier_def + " defconst B := A; }")
+    # A clashing `defconst` first read as a constant may still be named.
+    pf = parse(
+        "sig { const c; }\n"
+        "defsys { defconst A := c; defconst A := c; defconst B := A; }"
+    )
+    assert [v.kind for v in validate(pf.system).violations] == ["name-clash"]
+
+
 def test_def_bodies_parse_tolerantly():
     pf = parse("sig { pred M1/1; } defsys { def A(x) := M1(x) & B(x); }")
     rep = validate(pf.system)

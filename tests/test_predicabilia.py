@@ -371,6 +371,28 @@ def test_public_calls_validate_once(monkeypatch):
         assert calls == [DEMO_SYSTEM]
 
 
+def test_public_calls_build_the_symbol_table_once(monkeypatch):
+    # The table validation builds is the one the unfolding and the class
+    # checks read.
+    calls = []
+    symbols = DefinitionSystem.symbols
+
+    def counted(d):
+        calls.append(d)
+        return symbols(d)
+
+    monkeypatch.setattr(DefinitionSystem, "symbols", counted)
+    sentences = [Forall("x", P("Ab", "x")), Exists("x", P("Grp", "x"))]
+    for run in (
+        lambda: classify_formula(P("Comm", "x"), "Ab", DEMO_SYSTEM),
+        lambda: proximate_genus("Ab", ["Grp", "Mon"], DEMO_SYSTEM),
+        lambda: generators(sentences, DEMO_SYSTEM),
+    ):
+        calls.clear()
+        run()
+        assert calls == [DEMO_SYSTEM]
+
+
 def test_tree_of_a_deep_body():
     # 5,000 conjuncts built in code, past what the parser accepts.
     rest = [P(f"M{i % 2 + 1}", "x") for i in range(5000)]
