@@ -16,7 +16,8 @@ inconclusive (bound exhausted on a query outside the unary fragment).
 
 Every report states which entailment engine ran: `exact-monadic` answers
 are conclusive, `bounded` answers hold only up to the stated model size.
-The engine is chosen by `predicabilia._pick_engine` for every command.
+The engine is chosen by `monadic._engine_bound` for every command, and
+every entailment is asked of `monadic._verdicts`.
 JSON output (--json) follows the schemas in SCHEMAS; emitted models and
 definition blocks are re-parseable source text.
 """
@@ -40,11 +41,10 @@ from .extensional import (
     reconstruct,
 )
 from .magma import MAX_DEMO_SIZE, demo_dsl
-from .monadic import Sat, decide_sat, monadic_normal_form
+from .monadic import Sat, _engine_bound, _verdicts, decide_sat, monadic_normal_form
 from .parser import ParseError, parse, parse_formula, parse_formulas_infer, parse_path
 from .predicabilia import (
     ClassificationVerdict,
-    _pick_engine,
     classify_formula,
     generators,
     porphyry_tree,
@@ -383,9 +383,9 @@ def _cmd_entail(args, ceiling):
         rhs = parse_formula(args.rhs, sig)
     else:
         sig, (lhs, rhs) = parse_formulas_infer([args.lhs, args.rhs])
-    eng = _pick_engine(sig, (lhs, rhs), args.bound, ceiling)
-    verdict = eng.verdicts([lhs, rhs], [((0,), 1)])[0]
-    engine, engine_line = _engine(eng.exact, eng.bound)
+    b = _engine_bound(sig, (lhs, rhs), args.bound)
+    verdict = _verdicts(sig, [lhs, rhs], [((0,), 1)], b, ceiling)[0]
+    engine, engine_line = _engine(b is None, b)
     report, lines = _verdict(verdict, sig)
     if isinstance(verdict, Holds):
         code = EXIT_OK

@@ -464,17 +464,28 @@ def unfold(f: Formula, d: DefinitionSystem) -> Formula:
     expand_model gives.  Each binder keeps the name written in its
     definition, unless that is a free variable of the output, a symbol of
     the system or an earlier binder's name in pre-order; then it takes the
-    least free suffix (`y`, `y1`, `y2`, ...).
+    least free suffix (`y`, `y1`, `y2`, ...).  ValueError when d is
+    invalid, or when f uses a symbol that is not declared or defined, or at
+    another arity or kind than its own.
     """
     return _unfold(f, d, _require_valid(d))
 
 
-def _unfold(f: Formula, d: DefinitionSystem, table: dict[str, Symbol]) -> Formula:
-    """unfold over a system already validated, with its symbol table."""
+def _unfold(
+    f: Formula,
+    d: DefinitionSystem,
+    table: dict[str, Symbol],
+    entry: int | None = None,
+) -> Formula:
+    """unfold over a system already validated, with its symbol table.  f
+    is read as the body of entry `entry` (default: one past the last), so
+    each symbol use must pass `_misuse` there, or ValueError."""
     fx = facts(f)
-    for name in [*fx.arities(), *fx.consts]:
-        if name not in table:
-            raise ValueError(f"symbol {name} not declared anywhere")
+    at = len(d.entries) if entry is None else entry
+    for name, arity in [*fx.arities().items(), *((c, None) for c in fx.consts)]:
+        bad = _misuse(table, at, name, arity)
+        if bad is not None:
+            raise ValueError(f"{bad[0]} ({name}): {bad[1]}")
     return _expand(f, table, d.entries)
 
 

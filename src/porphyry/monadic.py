@@ -42,6 +42,12 @@ Satisfiability does not change when predicates are added, so every
 verdict of a batch is the verdict of the query's own scan.  When the
 batch's predicates together exceed the ceiling, each query gets its own
 scan instead.
+
+`_verdicts` is the one door to both engines.  The engine is a bound:
+None for this exact scan, a universe size for the bounded scan of
+semantics._countermodels, as `_engine_bound` picks it.  decide_sat,
+decide_entails, the normal form's checks and every predicabilia and CLI
+entailment are batches asked of it.
 """
 
 from __future__ import annotations
@@ -54,6 +60,7 @@ import numpy as np
 from .semantics import (
     DEFAULT_CEILING,
     Countermodel,
+    EntailmentVerdict,
     FiniteModel,
     Holds,
     HoldsUpTo,
@@ -61,9 +68,11 @@ from .semantics import (
     ResourceCeilingError,
     _asked,
     _check_ceiling,
+    _check_symbols,
+    _countermodels,
     _recheck_hits,
     _scan,
-    bounded_entails,
+    default_bound,
     recheck,
 )
 from .syntax import (
@@ -141,12 +150,7 @@ def _check_fragment(
         fx = facts(f)
         if not _monadic(fx):
             raise ValueError(f"not in the monadic fragment: {render(f)}")
-        for name in fx.preds:
-            if sig.arity(name) != 1:
-                raise ValueError(f"predicate {name} not declared unary")
-        for c in fx.consts:
-            if not sig.is_constant(c):
-                raise ValueError(f"constant {c} not declared")
+        _check_symbols(sig, fx)
         used.update(fx.preds)
         named.update(fx.consts)
         frees |= fx.frees
@@ -213,22 +217,39 @@ def decide_sat(
     support's inhabited cells.  Holders are the sorted free variables,
     reported in the assignment, then the constants in signature order.
     The witness is re-checked by evaluate.  ResourceCeilingError,
-    before any work, when the 2^(2^k) supports exceed the ceiling.  This
-    is the one-query case of `_cell_countermodels`.
+    before any work, when the 2^(2^k) supports exceed the ceiling.
 
     With allow_equality, unary formulas with `=` are decided instead by the
-    bounded scan of semantics.bounded_entails over universe sizes
+    bounded scan of semantics._countermodels over universe sizes
     1..2^k * max(1, q + h), with q the quantifier depth and h the free
     variables plus the constants of f: each holder counts as an outermost
     exists.  The witness is the first model of f in that scan.  This path is
     slower and off by default.
+
+    Either way this is a one-query `_verdicts` whose query has f as its
+    premise and no conclusion: it holds iff f has no model.
     """
+    bound = None
     if allow_equality and uses_equality(f):
-        return _decide_sat_eq(f, sig, ceiling)
-    if sig is None:
+        sig, bound = _equality_bound(f, sig)
+    elif sig is None:
         sig = _infer_signature((f,))
-    hit = _cell_countermodels([f], [((0,), None)], sig, ceiling)[0]
-    return Unsat() if hit is None else Sat(*hit)
+    v = _verdicts(sig, [f], [((0,), None)], bound, ceiling)[0]
+    return Sat(v.model, v.assignment) if isinstance(v, Countermodel) else Unsat()
+
+
+def _equality_bound(f: Formula, sig: Signature | None) -> tuple[Signature, int]:
+    """The signature (inferred, with equality, when none is given) and the
+    bound of equality-mode decide_sat."""
+    if sig is None:
+        inferred = _infer_signature((f,))
+        sig = Signature(inferred.predicates, inferred.constants, True)
+    fx = facts(f)
+    arities = fx.arities()
+    if any(a != 1 for a in arities.values()):
+        raise ValueError("equality extension still requires unary predicates")
+    holders = len(fx.frees) + len(fx.consts)
+    return sig, (1 << len(arities)) * max(1, fx.depth + holders)
 
 
 def _cell_countermodels(
@@ -285,39 +306,50 @@ def _cell_countermodels(
     return [witnesses.get(q) for q in range(len(queries))]
 
 
-def _exact_verdicts(
-    rows: list[Formula], queries: list[Query], sig: Signature, ceiling: int | None
-) -> list[Holds | Countermodel]:
-    """The verdict of each query (premise rows ⊨ conclusion row) by one scan
-    of `_cell_countermodels`: Holds, or the query's first hit as its
-    Countermodel.  When the predicates of the rows asked trip the ceiling
+def _engine_bound(
+    sig: Signature, formulas: list[Formula] | tuple[Formula, ...], bound: int | None
+) -> int | None:
+    """The engine for entailments among `formulas`, as the bound `_verdicts`
+    takes: None, the exact monadic engine, when every formula is monadic,
+    otherwise the bounded scan up to `bound` or `default_bound(sig)`."""
+    if all(is_monadic(f) for f in formulas):
+        return None
+    return bound if bound is not None else default_bound(sig)
+
+
+def _verdicts(
+    sig: Signature,
+    rows: list[Formula],
+    queries: list[Query],
+    bound: int | None,
+    ceiling: int | None,
+) -> list[EntailmentVerdict]:
+    """The verdict of each query (premise rows ⊨ conclusion row, see
+    semantics.Query) by one scan of the engine `bound` names: every
+    entailment the library decides is asked here.
+
+    bound None is the exact engine, `_cell_countermodels`: a query with no
+    hit gets Holds.  When the predicates of the rows asked trip the ceiling
     together, each query gets its own scan instead, which raises only where
-    that query alone would."""
-    try:
-        hits = _cell_countermodels(rows, queries, sig, ceiling)
-    except ResourceCeilingError:
-        if len(queries) < 2:
-            raise
-        hits = [_cell_countermodels(rows, [q], sig, ceiling)[0] for q in queries]
-    return [Holds() if hit is None else Countermodel(*hit) for hit in hits]
-
-
-def _decide_sat_eq(
-    f: Formula, sig: Signature | None, ceiling: int | None
-) -> SatVerdict:
-    if sig is None:
-        inferred = _infer_signature((f,))
-        sig = Signature(inferred.predicates, inferred.constants, True)
-    fx = facts(f)
-    arities = fx.arities()
-    if any(a != 1 for a in arities.values()):
-        raise ValueError("equality extension still requires unary predicates")
-    holders = len(fx.frees) + len(fx.consts)
-    bound = (1 << len(arities)) * max(1, fx.depth + holders)
-    verdict = bounded_entails(sig, (), Not(f), bound, ceiling)
-    if isinstance(verdict, HoldsUpTo):
-        return Unsat()
-    return Sat(verdict.model, verdict.assignment)
+    that query alone would.  Any other bound is the bounded scan of
+    semantics._countermodels over universe sizes 1..bound: a query with no
+    hit gets HoldsUpTo(bound).  A hit is the query's Countermodel.  The
+    scan covers the predicates and holders of every row asked, so a query
+    whose rows are all the rows asked gets the witness of its own
+    one-query scan.
+    """
+    if bound is not None:
+        hits = _countermodels(sig, rows, queries, bound, ceiling)
+        held: EntailmentVerdict = HoldsUpTo(bound)
+    else:
+        try:
+            hits = _cell_countermodels(rows, queries, sig, ceiling)
+        except ResourceCeilingError:
+            if len(queries) < 2:
+                raise
+            hits = [_cell_countermodels(rows, [q], sig, ceiling)[0] for q in queries]
+        held = Holds()
+    return [held if hit is None else Countermodel(*hit) for hit in hits]
 
 
 def decide_entails(
@@ -330,12 +362,13 @@ def decide_entails(
 
     Shared free variables are read universally, as in the bounded engine:
     a countermodel provides one assignment falsifying the implication.
-    This is the one-query case of `_exact_verdicts`, so a ValueError for a
-    formula outside the monadic fragment renders the side that is.
+    This is the one-query case of `_verdicts`' exact engine, so a
+    ValueError for a formula outside the monadic fragment renders the side
+    that is.
     """
     if sig is None:
         sig = _infer_signature((premise, conclusion))
-    return _exact_verdicts([premise, conclusion], [((0,), 1)], sig, ceiling)[0]
+    return _verdicts(sig, [premise, conclusion], [((0,), 1)], None, ceiling)[0]
 
 
 # ------------------------------------------------------------ normal form
@@ -512,7 +545,7 @@ def monadic_normal_form(
         if not isinstance(rows[-1], Verum):
             queries.append(((g,), g + 1))
         queries.append(((g, g + 1), None))
-    verdicts = iter(_exact_verdicts(rows, queries, sig, ceiling))
+    verdicts = iter(_verdicts(sig, rows, queries, None, ceiling))
     disjuncts: list[Disjunct] = []
     for key, residue in zip(merged, rows[1::2]):
         if not isinstance(residue, Verum) and isinstance(next(verdicts), Holds):
@@ -528,8 +561,8 @@ def monadic_normal_form(
 def _check_equivalent(
     f: Formula, form: MonadicNormalForm, sig: Signature, ceiling: int | None
 ) -> None:
-    both_ways = _exact_verdicts(
-        [f, form.to_formula()], [((0,), 1), ((1,), 0)], sig, ceiling
+    both_ways = _verdicts(
+        sig, [f, form.to_formula()], [((0,), 1), ((1,), 0)], None, ceiling
     )
     recheck(
         all(isinstance(v, Holds) for v in both_ways),

@@ -22,29 +22,23 @@ symbol table once, then unfolds and builds the tree with the private forms
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .defsys import DefinitionSystem, PredicateDef, Symbol, _require_valid, _unfold
-from .monadic import _exact_verdicts, is_monadic
+from .monadic import _engine_bound, _verdicts
 from .semantics import (
     Countermodel,
     EntailmentVerdict,
     Holds,
     HoldsUpTo,
-    Query,
     _check_ceiling,
-    _countermodels,
-    default_bound,
     recheck,
 )
 from .syntax import (
     Formula,
     Pred,
-    Signature,
     Var,
     big_and,
     conjuncts,
-    facts,
     free_vars,
     nnf,
     node_count,
@@ -132,55 +126,8 @@ def _tree(
     return PorphyryTree(nodes, tuple(edges), roots), unguarded
 
 
-# ------------------------------------------------------- engine plumbing
-
-
-@dataclass(frozen=True)
-class _Engine:
-    """An engine's one batch callable: `verdicts(rows, queries)` answers
-    every query (premise rows ⊨ conclusion row, see semantics.Query) over
-    a list of formulas in one scan, with Holds (exact), HoldsUpTo
-    (bounded) or a Countermodel, the query's first hit in that scan.  The
-    scan covers the predicates and holders of every row asked, so a
-    query whose rows are all the rows asked, such as each entailment of
-    a pair over two rows, gets the witness of its own one-query call.
-    `holds` keeps only whether each query holds."""
-
-    verdicts: Callable[[list[Formula], list[Query]], list[EntailmentVerdict]]
-    exact: bool
-    bound: int | None
-
-    def holds(self, rows: list[Formula], queries: list[Query]) -> list[bool]:
-        return [_holds(v) for v in self.verdicts(rows, queries)]
-
-
 def _holds(v: EntailmentVerdict) -> bool:
     return isinstance(v, (Holds, HoldsUpTo))
-
-
-def _pick_engine(
-    sig: Signature,
-    formulas: tuple[Formula, ...],
-    bound: int | None,
-    ceiling: int | None,
-) -> _Engine:
-    """The engine for entailments among `formulas`: exact-monadic when all
-    are monadic, otherwise bounded at `bound` or `default_bound(sig)`."""
-    if all(is_monadic(f) for f in formulas):
-        return _Engine(
-            verdicts=lambda rows, queries: _exact_verdicts(rows, queries, sig, ceiling),
-            exact=True,
-            bound=None,
-        )
-    used = bound if bound is not None else default_bound(sig)
-    return _Engine(
-        verdicts=lambda rows, queries: [
-            HoldsUpTo(used) if hit is None else Countermodel(*hit)
-            for hit in _countermodels(sig, rows, queries, used, ceiling)
-        ],
-        exact=False,
-        bound=used,
-    )
 
 
 # ----------------------------------------------------------- predication
@@ -244,19 +191,14 @@ def classify_formula(
     get the same verdict.  Difference: rho is equivalent to the difference
     of the class's genus edge.  Property: rho is equivalent to the whole
     definition body.  Accident: the body entails rho but not conversely,
-    with the refuting model kept as evidence.
+    with the refuting model kept as evidence.  rho may use only what the
+    class's own body may, base and earlier-defined symbols each at its
+    arity, or ValueError.
     """
     table = _require_valid(d)
     s_index = _species_index(table, species)
-    fx = facts(rho)
-    for name in [*fx.arities(), *fx.consts]:
-        if name not in table or table[name][0] >= s_index:
-            raise ValueError(
-                f"{name} is not a base or earlier-defined symbol"
-            )
     param = d.entries[s_index].params[0]
-    rho = _align_free_var(rho, param)
-    rho_u = _unfold(rho, d, table)
+    rho_u = _unfold(_align_free_var(rho, param), d, table, s_index)
     psi = _unfold(Pred(species, (Var(param),)), d, table)
 
     tree, _ = _tree(d, table)
@@ -266,27 +208,27 @@ def classify_formula(
         delta_u = _unfold(_align_free_var(edge.difference, param), d, table)
 
     pool = [rho_u, psi] + ([delta_u] if delta_u is not None else [])
-    eng = _pick_engine(d.base, tuple(pool), bound, ceiling)
+    b = _engine_bound(d.base, pool, bound)
 
     # Each pair is one batch over its two rows: the same predicates, holders
     # and scan order as either entailment alone, so each first hit is that
     # entailment's own countermodel.
     both_ways = [((0,), 1), ((1,), 0)]
     if delta_u is not None:
-        r_to_d, d_to_r = eng.verdicts([rho_u, delta_u], both_ways)
+        r_to_d, d_to_r = _verdicts(d.base, [rho_u, delta_u], both_ways, b, ceiling)
         if _holds(r_to_d) and _holds(d_to_r):
             return Difference(
                 {"rho_entails_delta": r_to_d, "delta_entails_rho": d_to_r},
-                eng.exact,
-                eng.bound,
+                b is None,
+                b,
             )
-    psi_to_rho, rho_to_psi = eng.verdicts([psi, rho_u], both_ways)
+    psi_to_rho, rho_to_psi = _verdicts(d.base, [psi, rho_u], both_ways, b, ceiling)
     evidence = {"psi_entails_rho": psi_to_rho, "rho_entails_psi": rho_to_psi}
     if _holds(psi_to_rho) and _holds(rho_to_psi):
-        return Property(evidence, eng.exact, eng.bound)
+        return Property(evidence, b is None, b)
     if _holds(psi_to_rho) and isinstance(rho_to_psi, Countermodel):
-        return Accident(evidence, eng.exact, eng.bound)
-    return Unrelated(evidence, eng.exact, eng.bound)
+        return Accident(evidence, b is None, b)
+    return Unrelated(evidence, b is None, b)
 
 
 # ------------------------------------------------------- proximate genus
@@ -341,9 +283,7 @@ def proximate_genus(
         c: _unfold(_class_formula(table, c, param), d, table)
         for c in candidates
     }
-    eng = _pick_engine(
-        d.base, tuple([psi] + list(cand_formulas.values())), bound, ceiling
-    )
+    b = _engine_bound(d.base, [psi, *cand_formulas.values()], bound)
 
     def members(mask: int) -> list[int]:
         return [b for b in range(len(parts)) if (mask >> b) & 1]
@@ -351,7 +291,8 @@ def proximate_genus(
     # Rows: the body, then each candidate, then each conjunct of the body.
     rows = [psi, *(cand_formulas[c] for c in candidates), *parts]
     first_part = 1 + len(candidates)
-    contains = eng.holds(rows, [((0,), 1 + i) for i in range(len(candidates))])
+    queries = [((0,), 1 + i) for i in range(len(candidates))]
+    contains = [_holds(v) for v in _verdicts(d.base, rows, queries, b, ceiling)]
     pending = [i for i in range(len(candidates)) if contains[i]]
     # The cost of each sub-conjunction by mask, node_count(nnf(big_and(...))),
     # is additive: the parts' costs plus one `&` between each two, and 1 for
@@ -375,7 +316,7 @@ def proximate_genus(
             for i in pending
             for mask in window
         ]
-        answers = iter(eng.holds(rows, queries))
+        answers = (_holds(v) for v in _verdicts(d.base, rows, queries, b, ceiling))
         for i in pending:
             found = [mask for mask in window if next(answers)]
             if found:
@@ -398,8 +339,8 @@ def proximate_genus(
         chosen=winner.name,
         difference=winner.difference,
         scores=tuple(scores),
-        exact=eng.exact,
-        bound=eng.bound,
+        exact=b is None,
+        bound=b,
     )
 
 
@@ -433,12 +374,11 @@ def generators(
             raise ValueError(f"not a sentence: {render(s)}")
     table = _require_valid(d)
     unfolded = [_unfold(s, d, table) for s in sentences]
-    eng = _pick_engine(d.base, tuple(unfolded), bound, ceiling)
+    b = _engine_bound(d.base, unfolded, bound)
     n = len(unfolded)
-    answers = iter(
-        eng.holds(unfolded, [((i,), j) for i in range(n) for j in range(n) if i != j])
-    )
-    entails = [[i == j or next(answers) for j in range(n)] for i in range(n)]
+    queries = [((i,), j) for i in range(n) for j in range(n) if i != j]
+    verdicts = iter(_verdicts(d.base, unfolded, queries, b, ceiling))
+    entails = [[i == j or _holds(next(verdicts)) for j in range(n)] for i in range(n)]
     flags = tuple(all(entails[i]) for i in range(n))
     recheck(
         all(
@@ -449,4 +389,4 @@ def generators(
         ),
         "generators must be mutually entailing",
     )
-    return TheorySet(tuple(sentences), flags, eng.exact, eng.bound)
+    return TheorySet(tuple(sentences), flags, b is None, b)

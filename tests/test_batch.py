@@ -44,7 +44,7 @@ from porphyry import (
     quantifier_depth,
     unfold,
 )
-from porphyry.monadic import _cell_countermodels, _exact_verdicts
+from porphyry.monadic import _cell_countermodels, _verdicts
 from porphyry.semantics import _countermodels
 
 
@@ -95,7 +95,7 @@ def test_exact_batch_matches_per_query_oracle(monkeypatch, cells):
         sig = Signature(tuple((p, 1) for p in preds), tuple(sorted(consts)), False)
         formulas, queries = _random_batch(rng, preds, consts, frees)
         got = [
-            isinstance(v, Holds) for v in _exact_verdicts(formulas, queries, sig, None)
+            isinstance(v, Holds) for v in _verdicts(sig, formulas, queries, None, None)
         ]
         want = [_exact_oracle(formulas, q, preds, sig.constants) for q in queries]
         assert got == want

@@ -11,10 +11,12 @@ from helpers import (
     canonical_monadic_models,
     first_cell_model,
     naive_eval,
+    occurring,
     random_formula,
+    random_mixed_formula,
     random_monadic_sentence,
 )
-import porphyry.predicabilia
+import porphyry.monadic
 import porphyry.semantics
 from porphyry import (
     And,
@@ -51,6 +53,7 @@ from porphyry import (
     quantifier_depth,
     render,
 )
+from porphyry.syntax import uses_equality
 
 SIG = Signature((("M1", 1), ("M2", 1)), (), False)
 
@@ -267,7 +270,7 @@ def test_exact_and_bounded_engines_agree(f, g):
     exact = classify_formula(f, "S", _CLASSES)
     # A formula the engine chooser takes for non-monadic goes to the
     # bounded scan at default_bound(sig) = 4.
-    with mock.patch.object(porphyry.predicabilia, "is_monadic", lambda f: False):
+    with mock.patch.object(porphyry.monadic, "is_monadic", lambda f: False):
         scan = classify_formula(f, "S", _CLASSES)
     assert (exact.exact, scan.exact, scan.bound) == (True, False, 4)
     assert type(exact) is type(scan)
@@ -353,6 +356,38 @@ def test_decide_sat_equality_mode():
         if first is not None:
             assert naive_eval(f, v.model, dict(v.assignment)), text
             assert v.model.size == first, text
+
+
+def test_decide_sat_equality_mode_is_the_bounded_query_for_a_model():
+    # With `=`, decide_sat scans for a model of f up to the documented
+    # bound 2^k * max(1, q + h), so it answers as bounded_entails asked for
+    # a countermodel of !f there: the same model and assignment, Unsat
+    # where that finds none, and the same ResourceCeilingError.
+    sig = Signature((("M1", 1), ("M2", 1)), ("c",), True)
+    rng = random.Random(4099)
+    asked = 0
+    while asked < 120:
+        frees = rng.sample(["x", "y"], rng.randint(0, 2))
+        f = random_mixed_formula(rng, sig.predicates, ["c"], frees, max_q=2, depth=4)
+        if not uses_equality(f):
+            continue
+        asked += 1
+        preds, consts, free = occurring(f)
+        holders = len(free) + len(consts)
+        bound = (1 << len(preds)) * max(1, quantifier_depth(f) + holders)
+        answers = []
+        for ask in (
+            lambda: decide_sat(f, sig, 5000, allow_equality=True),
+            lambda: bounded_entails(sig, (), Not(f), bound, 5000),
+        ):
+            try:
+                v = ask()
+            except ResourceCeilingError as e:
+                answers.append(str(e))
+                continue
+            hit = isinstance(v, (Sat, Countermodel))
+            answers.append((v.model, v.assignment) if hit else None)
+        assert answers[0] == answers[1], render(f)
 
 
 def test_decide_entails_basic():

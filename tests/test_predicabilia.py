@@ -140,6 +140,34 @@ def test_classify_rejects_later_symbols():
         classify_formula(rho, "Grp", DEMO_SYSTEM)
 
 
+def test_symbol_misuse_is_a_value_error():
+    # A is binary; applied to one argument its parameter z would leak out
+    # of the unfolding as a free variable.
+    d = DefinitionSystem(
+        SIG,
+        (
+            PredicateDef("A", ("x", "z"), And(P("M1", "x"), P("M2", "z"))),
+            PredicateDef("G", ("x",), P("M1", "x")),
+            PredicateDef("S", ("x",), And(P("G", "x"), P("M2", "x"))),
+        ),
+    )
+    arity = r"arity-mismatch \(A\): defined /2, applied /1"
+    with pytest.raises(ValueError, match=arity):
+        unfold(P("A", "u"), d)
+    with pytest.raises(ValueError, match=r"\(M1\): declared /1, applied /2"):
+        unfold(Pred("M1", (Var("u"), Var("v"))), d)
+    with pytest.raises(ValueError, match=arity):
+        classify_formula(P("A", "x"), "S", d)
+    with pytest.raises(ValueError, match=arity):
+        generators([Exists("x", P("A", "x"))], d)
+    # rho is read at the class's own entry: the class itself, or a later
+    # one, is not available to it.
+    with pytest.raises(ValueError, match=r"self-reference \(S\)"):
+        classify_formula(P("S", "x"), "S", d)
+    with pytest.raises(ValueError, match=r"forward-reference \(S\): defined later"):
+        classify_formula(P("S", "x"), "G", d)
+
+
 def test_classify_bounded_outside_fragment():
     sigR = Signature((("R", 2), ("M1", 1)), (), False)
     d = DefinitionSystem(
