@@ -735,10 +735,20 @@ def main(argv: list[str] | None = None) -> int:
         # the depths of a definition chain, and the walkers recurse.
         print("error: input too deep for the evaluators", file=sys.stderr)
         return EXIT_ERROR
-    if args.json:
-        print(json.dumps({"command": args.command, **payload}, indent=2))
-    else:
-        print("\n".join(text))
+    try:
+        if args.json:
+            print(json.dumps({"command": args.command, **payload}, indent=2))
+        else:
+            print("\n".join(text))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early, as `| head` does.  Point the
+        # descriptor at the null device, so that the interpreter's own
+        # flush at exit does not fail on the same pipe again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_ERROR
     return code
 
 

@@ -22,14 +22,17 @@ formula whose syntax tree is more than MAX_DEPTH connectives and quantifiers
 deep, such as a chain of thousands of `&`: every later walk over a formula
 recurses once per level of its tree.
 
-One compiled regex splits the text into tokens.  A keyword or a punctuation
-mark is its own kind; anything else is a NAME (a letter or `_`, then
-letters, digits and `_`), an INT (a run of Unicode decimal digits) or the
-EOF, at the end of the text.  Blanks are space, tab, `\\r` and `\\n`
-only; any other character outside a comment is a ParseError.  A token
-keeps only its character offset: the line and column of a ParseError
-(from 1, a tab counting as one column) are worked out from it when the
-error is raised.
+One compiled pattern reads the text as a list of words, one per token,
+with `findall`: blanks and comments before a token are a non-capturing
+prefix of the same match, and the end of the text is the empty word.  A
+keyword or a punctuation mark is the word itself; a NAME is a word that
+starts with a letter or `_` (then letters, digits and `_`) and is not a
+keyword; an INT is a run of Unicode decimal digits.  Blanks are space,
+tab, `\\r` and `\\n` only; any other character outside a comment is a
+ParseError, raised before any grammar error.  The parser keeps only the
+index of each word: a ParseError scans the text again to find the
+offset of its word, and from it the line and column (from 1, a tab
+counting as one column).
 
 Names resolve through the system's symbol table (`DefinitionSystem.symbols`),
 which a defsys block extends entry by entry.  Definition bodies may mention
@@ -49,7 +52,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from itertools import islice
+from typing import Sequence
 
 from .defsys import ConstantDef, Definition, DefinitionSystem, PredicateDef, _define
 from .semantics import FiniteModel
@@ -74,8 +78,9 @@ from .syntax import (
     rename_apart,
 )
 
-# Each level costs the recursive-descent parser up to eight stack frames: a
-# formula at the limit parses in about 820, inside Python's default 1000.
+# Each level costs the parser at most two stack frames (for a parenthesis
+# or a quantifier, one for the atom and one for the formula inside it): a
+# formula at the limit parses in about 210, inside Python's default 1000.
 MAX_NESTING = 100
 # The walkers over a parsed formula (rename_apart, evaluate, nnf, the tensor
 # evaluator, ...) take about one stack frame per level of its tree.
@@ -90,54 +95,55 @@ class ParseError(ValueError):
         self.col = col
 
 
-def _error(message: str, text: str, pos: int) -> ParseError:
-    """A ParseError at character offset `pos` of `text`: lines and columns
-    count from 1, and a tab is one column."""
+KEYWORDS = frozenset(
+    "sig defsys model assert def defconst pred const equality universe "
+    "forall exists true false".split()
+)
+_PUNCT = frozenset("<-> -> := ( ) { } , ; . = ! & | /".split())
+# The words that are neither a name, an integer nor a stray character.
+_MARKS = KEYWORDS | _PUNCT | {""}
+# One match per token: the blanks and comments before it, then the token,
+# the only group, so findall gives the words alone; the empty word is the
+# end of the text.  \d is the Unicode decimal digits, which int() reads,
+# and comes before \w, so `1²` is 1 and then `²`; \w is any character
+# where str.isalnum() holds, or `_`.  The `.` branch takes every other
+# character (a newline is always a blank).  It and a `\w+` word that
+# starts with neither a letter, `_` nor a decimal digit are stray.
+_WORD = re.compile(
+    r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*([(){},;.=!&|/]|\d+|\w+|<->|->|:=|.|\Z)"
+)
+# Binding power and node class of each binary connective, loosest first.
+# The two arrows associate to the right, and their right operand is one
+# nesting level deeper.
+_BINARY = {"<->": (1, Iff), "->": (2, Implies), "|": (3, Or), "&": (4, And)}
+
+
+def _error(message: str, text: str, at: int) -> ParseError:
+    """A ParseError at word `at` of `text`: lines and columns count from 1,
+    and a tab is one column."""
+    pos = next(islice(_WORD.finditer(text), at, None)).start(1)
     return ParseError(
         message, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
     )
 
 
-class Token(NamedTuple):
-    # The text itself for a keyword or a punctuation mark; otherwise
-    # "NAME", "INT", or "EOF" (whose text is empty).
-    kind: str
-    text: str
-    # Character offset into the parsed text.
-    pos: int
-
-
-KEYWORDS = frozenset(
-    "sig defsys model assert def defconst pred const equality universe "
-    "forall exists true false".split()
-)
-# Unnamed branches are skipped.  \d is the Unicode decimal digits, which
-# int() reads; \w is any character where str.isalnum() holds, or `_`, and a
-# name must also start with a letter or `_`.  The last branch catches every
-# other character, which finditer would otherwise skip.
-_TOKEN = re.compile(
-    r"[ \t\r\n]+|#[^\n]*"
-    r"|(?P<INT>\d+)|(?P<NAME>\w+)|(?P<PUNCT><->|->|:=|[(){},;.=!&|/])|(?P<BAD>.)"
-)
-
-
-def tokenize(text: str) -> list[Token]:
-    toks: list[Token] = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind is None:
-            continue
-        word = m.group()
-        if kind == "NAME" and (word[0].isalpha() or word[0] == "_"):
-            if word in KEYWORDS:
-                kind = word
-        elif kind == "PUNCT":
-            kind = word
-        elif kind != "INT":
-            raise _error(f"unexpected character {word[0]!r}", text, m.start())
-        toks.append(Token(kind, word, m.start()))
-    toks.append(Token("EOF", "", len(text)))
-    return toks
+def _words(text: str) -> tuple[list[str], set[str]]:
+    """The words of `text`, the last one empty, and the set of those that
+    are names.  A stray character is a ParseError here, at the first word
+    that holds one."""
+    words = _WORD.findall(text)
+    names: set[str] = set()
+    stray: list[str] = []
+    for w in set(words).difference(_MARKS):
+        c = w[0]
+        if c.isalpha() or c == "_":
+            names.add(w)
+        elif not c.isdecimal():
+            stray.append(w)
+    if stray:
+        at = min(map(words.index, stray))
+        raise _error(f"unexpected character {words[at][0]!r}", text, at)
+    return words, names
 
 
 @dataclass(frozen=True)
@@ -149,55 +155,61 @@ class ParsedFile:
 
 
 class _Parser:
+    """Recursive descent over the words of one text.
+
+    `i` is the index of the next word.  A ParseError ends the parse, so the
+    nesting depth and a scope's bound names are not restored when one is
+    raised.
+    """
+
+    __slots__ = ("text", "words", "names", "i", "depth", "height")
+
     def __init__(self, text: str):
         self.text = text
-        self.toks = tokenize(text)
-        self.pos = 0
+        self.words, self.names = _words(text)
+        self.i = 0
         self.depth = 0
         # Tree depth of the formula parsed last: 0 for an atom.
         self.height = 0
 
-    # ----------------------------------------------------- token plumbing
+    # ------------------------------------------------------ word plumbing
 
-    def peek(self) -> Token:
-        return self.toks[self.pos]
+    def fail(self, message: str, at: int | None = None) -> ParseError:
+        """A ParseError at word `at`, by default the next word."""
+        return _error(message, self.text, self.i if at is None else at)
 
-    def advance(self) -> Token:
-        t = self.toks[self.pos]
-        if t.kind != "EOF":
-            self.pos += 1
-        return t
+    def expected(self, what: str) -> ParseError:
+        got = self.words[self.i] or "end of input"
+        return self.fail(f"expected {what}, got {got!r}")
 
-    def at(self, kind: str) -> bool:
-        return self.peek().kind == kind
-
-    def eat(self, kind: str) -> bool:
-        if self.at(kind):
-            self.advance()
+    def eat(self, word: str) -> bool:
+        if self.words[self.i] == word:
+            self.i += 1
             return True
         return False
 
-    def expect(self, kind: str, what: str = "") -> Token:
-        t = self.peek()
-        if t.kind != kind:
-            got = t.text or "end of input"
-            raise self.fail(f"expected {what or repr(kind)}, got {got!r}")
-        return self.advance()
+    def expect(self, word: str, what: str = "") -> None:
+        if self.words[self.i] != word:
+            raise self.expected(what or repr(word))
+        self.i += 1
 
-    def expect_name(self) -> Token:
-        return self.expect("NAME", "a name")
+    def name(self) -> str:
+        w = self.words[self.i]
+        if w not in self.names:
+            raise self.expected("a name")
+        self.i += 1
+        return w
 
-    def expect_int(self) -> int:
-        t = self.expect("INT", "an integer")
+    def integer(self) -> int:
+        w = self.words[self.i]
+        if not w[:1].isdecimal():
+            raise self.expected("an integer")
+        self.i += 1
         try:
-            return int(t.text)
+            return int(w)
         except ValueError:  # past the interpreter's integer digit limit
-            message = f"integer of {len(t.text)} digits is too long"
-            raise self.fail(message, t) from None
-
-    def fail(self, message: str, tok: Token | None = None) -> ParseError:
-        """A ParseError at `tok`, by default the next token."""
-        return _error(message, self.text, (tok or self.peek()).pos)
+            message = f"integer of {len(w)} digits is too long"
+            raise self.fail(message, self.i - 1) from None
 
     # -------------------------------------------------------- file level
 
@@ -206,32 +218,41 @@ class _Parser:
         entries: list[Definition] = []
         models: dict[str, FiniteModel] = {}
         asserts: list[Formula] = []
-        while not self.at("EOF"):
-            t = self.peek()
-            if t.kind == "sig":
+        # One symbol table for the file, extended by each defsys entry, and
+        # two scopes over it: a lax one for definition bodies and a strict
+        # one for asserts.  The names an assert's binders avoid are worked
+        # out once per change to the table.
+        lax, strict = _Scope.pair(DefinitionSystem(self.current_sig(sig), ()))
+        reserved: frozenset[str] | None = None
+        while True:
+            at = self.i
+            w = self.words[at]
+            if w == "":
+                break
+            self.i += 1
+            if w == "sig":
                 if sig is not None:
-                    raise self.fail("signature already declared")
-                self.advance()
+                    raise self.fail("signature already declared", at)
                 sig = self.parse_sig_body()
-            elif t.kind == "defsys":
-                self.advance()
-                entries.extend(self.parse_defsys_body(self.current_sig(sig), entries))
-            elif t.kind == "model":
-                self.advance()
+                lax, strict = _Scope.pair(DefinitionSystem(sig, tuple(entries)))
+                reserved = None
+            elif w == "defsys":
+                self.parse_defsys_body(self.current_sig(sig), lax, entries)
+                reserved = None
+            elif w == "model":
                 name, m = self.parse_model(self.current_sig(sig))
                 if name in models:
-                    raise self.fail(f"model {name} already declared", t)
+                    raise self.fail(f"model {name} already declared", at)
                 models[name] = m
-            elif t.kind == "assert":
-                self.advance()
-                system = DefinitionSystem(self.current_sig(sig), tuple(entries))
-                scope = _Scope(system, strict=True)
-                f = self.formula(scope)
+            elif w == "assert":
+                f = self.formula(strict)
                 self.expect(";")
-                asserts.append(rename_apart(f, frozenset(scope.symbols)))
+                if reserved is None:
+                    reserved = frozenset(strict.symbols)
+                asserts.append(rename_apart(f, reserved))
             else:
                 raise self.fail(
-                    "expected 'sig', 'defsys', 'model', or 'assert'"
+                    "expected 'sig', 'defsys', 'model', or 'assert'", at
                 )
         base = self.current_sig(sig)
         return ParsedFile(
@@ -253,19 +274,21 @@ class _Parser:
         seen: set[str] = set()
         while not self.eat("}"):
             if self.eat("pred"):
-                name = self.expect_name()
+                at = self.i
+                name = self.name()
                 self.expect("/")
-                arity = self.expect_int()
-                if name.text in seen:
-                    raise self.fail(f"symbol {name.text} already declared", name)
-                seen.add(name.text)
-                preds.append((name.text, arity))
+                arity = self.integer()
+                if name in seen:
+                    raise self.fail(f"symbol {name} already declared", at)
+                seen.add(name)
+                preds.append((name, arity))
             elif self.eat("const"):
-                name = self.expect_name()
-                if name.text in seen:
-                    raise self.fail(f"symbol {name.text} already declared", name)
-                seen.add(name.text)
-                consts.append(name.text)
+                at = self.i
+                name = self.name()
+                if name in seen:
+                    raise self.fail(f"symbol {name} already declared", at)
+                seen.add(name)
+                consts.append(name)
             else:
                 self.expect("equality", "'pred', 'const', or 'equality'")
                 equality = True
@@ -273,92 +296,100 @@ class _Parser:
         return Signature(tuple(preds), tuple(consts), equality)
 
     def parse_defsys_body(
-        self, sig: Signature, earlier: list[Definition]
-    ) -> list[Definition]:
+        self, sig: Signature, scope: "_Scope", entries: list[Definition]
+    ) -> None:
+        """Append the block's entries to `entries`, entering each into the
+        scope's symbol table as it is read."""
         self.expect("{")
-        out: list[Definition] = []
-        scope = _Scope(DefinitionSystem(sig, tuple(earlier)), strict=False)
-        while not self.eat("}"):
-            if self.eat("def"):
-                name = self.expect_name()
+        words = self.words
+        while True:
+            w = words[self.i]
+            if w == "}":
+                self.i += 1
+                return
+            entry: Definition
+            if w == "def":
+                self.i += 1
+                name = self.name()
                 self.expect("(")
                 params: list[str] = []
-                if not self.at(")"):
+                if words[self.i] != ")":
                     while True:
-                        p = self.expect_name()
-                        if p.text in params:
-                            raise self.fail(f"duplicate parameter {p.text}", p)
-                        self.check_binder(p, scope)
-                        params.append(p.text)
-                        if not self.eat(","):
+                        at = self.i
+                        p = self.name()
+                        if p in params:
+                            raise self.fail(f"duplicate parameter {p}", at)
+                        if p in scope.symbols:
+                            raise self.fail(f"{p} shadows a declared symbol", at)
+                        params.append(p)
+                        if words[self.i] != ",":
                             break
+                        self.i += 1
                 self.expect(")")
                 self.expect(":=")
                 scope.bound = set(params)
                 body = self.formula(scope)
                 self.expect(";")
-                out.append(PredicateDef(name.text, tuple(params), body))
-            elif self.eat("defconst"):
-                name = self.expect_name()
+                entry = PredicateDef(name, tuple(params), body)
+            elif w == "defconst":
+                self.i += 1
+                name = self.name()
                 self.expect(":=")
-                rhs = self.expect_name()
-                scope.check_constant(rhs, self)
+                at = self.i
+                rhs = self.name()
+                scope.check_constant(rhs, at, self)
                 self.expect(";")
-                var = fresh_name("y", sig.names() | {name.text, rhs.text})
-                out.append(
-                    ConstantDef(name.text, var, Eq(Var(var), Const(rhs.text)))
-                )
+                var = fresh_name("y", sig.names() | {name, rhs})
+                entry = ConstantDef(name, var, Eq(Var(var), Const(rhs)))
             else:
                 raise self.fail("expected 'def' or 'defconst'")
-            _define(scope.symbols, len(earlier) + len(out) - 1, out[-1])
-        return out
-
-    def check_binder(self, tok: Token, scope: "_Scope") -> None:
-        if tok.text in scope.symbols:
-            raise self.fail(f"{tok.text} shadows a declared symbol", tok)
+            entries.append(entry)
+            _define(scope.symbols, len(entries) - 1, entry)
 
     # ------------------------------------------------------------ models
 
     def parse_model(self, sig: Signature) -> tuple[str, FiniteModel]:
-        name = self.expect_name()
+        name_at = self.i
+        name = self.name()
         self.expect("{")
-        kw = self.peek()
+        at = self.i
         if not self.eat("universe"):
             raise self.fail("model must open with 'universe'")
-        size = self.expect_int()
+        size = self.integer()
         if size < 1:
-            raise self.fail("universe must have at least 1 element", kw)
+            raise self.fail("universe must have at least 1 element", at)
         self.expect(";")
         preds: dict[str, frozenset[tuple[int, ...]]] = {}
         consts: dict[str, int] = {}
         while not self.eat("}"):
-            sym = self.expect_name()
-            arity = sig.arity(sym.text)
-            is_const = sig.is_constant(sym.text)
+            at = self.i
+            sym = self.name()
+            arity = sig.arity(sym)
+            is_const = sig.is_constant(sym)
             if arity is None and not is_const:
-                raise self.fail(f"{sym.text} is not a base signature symbol", sym)
-            if sym.text in preds or sym.text in consts:
-                raise self.fail(f"{sym.text} assigned twice", sym)
+                raise self.fail(f"{sym} is not a base signature symbol", at)
+            if sym in preds or sym in consts:
+                raise self.fail(f"{sym} assigned twice", at)
             self.expect("=")
             if is_const:
-                consts[sym.text] = self.parse_const_value(size)
+                consts[sym] = self.parse_const_value(size)
             else:
-                preds[sym.text] = self.parse_extent(size, arity)
+                preds[sym] = self.parse_extent(size, arity)
             self.expect(";")
         for pname, arity in sig.predicates:
             preds.setdefault(pname, frozenset())
         for cname in sig.constants:
             if cname not in consts:
                 raise self.fail(
-                    f"constant {cname} not interpreted in model {name.text}", name
+                    f"constant {cname} not interpreted in model {name}", name_at
                 )
-        return name.text, FiniteModel(size, consts, preds)
+        return name, FiniteModel(size, consts, preds)
 
     def parse_element(self, size: int) -> int:
-        t = self.peek()
-        v = self.expect_int()
+        at = self.i
+        v = self.integer()
         if not 0 <= v < size:
-            raise self.fail(f"element {v} outside universe of size {size}", t)
+            raise self.fail(f"element {v} outside universe of size {size}", at)
         return v
 
     def parse_const_value(self, size: int) -> int:
@@ -374,10 +405,10 @@ class _Parser:
         if self.eat("}"):
             return frozenset()
         while True:
-            t = self.peek()
+            at = self.i
             if self.eat("("):
                 elems: list[int] = []
-                if not self.at(")"):
+                if self.words[self.i] != ")":
                     while True:
                         elems.append(self.parse_element(size))
                         if not self.eat(","):
@@ -388,7 +419,7 @@ class _Parser:
                 tup = (self.parse_element(size),)
             if len(tup) != arity:
                 raise self.fail(
-                    f"tuple of length {len(tup)} for a /{arity} predicate", t
+                    f"tuple of length {len(tup)} for a /{arity} predicate", at
                 )
             tuples.add(tup)
             if not self.eat(","):
@@ -398,178 +429,198 @@ class _Parser:
 
     # ---------------------------------------------------------- formulas
 
-    def nested(self, parse, scope: "_Scope") -> Formula:
-        """Run a sub-parser one nesting level deeper."""
-        if self.depth >= MAX_NESTING:
-            raise self.fail(f"formula nested deeper than {MAX_NESTING} levels")
-        self.depth += 1
-        try:
-            return parse(scope)
-        finally:
-            self.depth -= 1
+    def too_deep(self) -> ParseError:
+        return self.fail(f"formula deeper than {MAX_DEPTH} levels")
 
-    def grown(self, node: Formula, left: int = 0) -> Formula:
-        """node, built over the formula parsed last and, for a binary node,
-        a left operand of height `left`."""
-        self.height = max(self.height, left) + 1
-        if self.height > MAX_DEPTH:
-            raise self.fail(f"formula deeper than {MAX_DEPTH} levels")
-        return node
+    def too_nested(self) -> ParseError:
+        return self.fail(f"formula nested deeper than {MAX_NESTING} levels")
 
-    def formula(self, scope: "_Scope") -> Formula:
-        return self.iff(scope)
-
-    def iff(self, scope: "_Scope") -> Formula:
-        left = self.implies(scope)
-        if self.eat("<->"):
-            height = self.height
-            return self.grown(Iff(left, self.nested(self.iff, scope)), height)
-        return left
-
-    def implies(self, scope: "_Scope") -> Formula:
-        left = self.disj(scope)
-        if self.eat("->"):
-            height = self.height
-            return self.grown(Implies(left, self.nested(self.implies, scope)), height)
-        return left
-
-    def disj(self, scope: "_Scope") -> Formula:
-        left = self.conj(scope)
-        while self.eat("|"):
-            height = self.height
-            left = self.grown(Or(left, self.conj(scope)), height)
-        return left
-
-    def conj(self, scope: "_Scope") -> Formula:
+    def formula(self, scope: "_Scope", floor: int = 1) -> Formula:
+        """A formula whose binary connectives bind at least at `floor`, by
+        precedence climbing over _BINARY."""
+        words = self.words
         left = self.unary(scope)
-        while self.eat("&"):
+        op = _BINARY.get(words[self.i])
+        while op is not None and op[0] >= floor:
+            power, cls = op
+            self.i += 1
             height = self.height
-            left = self.grown(And(left, self.unary(scope)), height)
+            if power == 4:
+                right = self.unary(scope)
+            elif power == 3:
+                right = self.formula(scope, 4)
+            else:
+                if self.depth >= MAX_NESTING:
+                    raise self.too_nested()
+                self.depth += 1
+                right = self.formula(scope, power)
+                self.depth -= 1
+            if height < self.height:
+                height = self.height
+            if height >= MAX_DEPTH:
+                raise self.too_deep()
+            self.height = height + 1
+            left = cls(left, right)
+            op = _BINARY.get(words[self.i])
         return left
 
     def unary(self, scope: "_Scope") -> Formula:
-        if self.eat("!"):
-            return self.grown(Not(self.nested(self.unary, scope)))
-        t = self.peek()
-        if t.kind in ("forall", "exists"):
-            self.advance()
-            var = self.expect_name()
-            if var.text in scope.bound:
-                raise self.fail(f"{var.text} is already bound here", var)
-            self.check_binder(var, scope)
+        words = self.words
+        at = self.i
+        w = words[at]
+        self.i = at + 1
+        if w in self.names:
+            self.height = 0
+            w2 = words[at + 1]
+            if w2 == "(":
+                i = at + 2
+                args: list[Term] = []
+                if words[i] != ")":
+                    names = self.names
+                    while True:
+                        t = words[i]
+                        if t not in names:
+                            self.i = i
+                            raise self.expected("a name")
+                        args.append(scope.resolve_term(t, i, self))
+                        i += 1
+                        if words[i] != ",":
+                            break
+                        i += 1
+                    if words[i] != ")":
+                        self.i = i
+                        raise self.expected("')'")
+                self.i = i + 1
+                scope.check_application(w, at, len(args), self)
+                return Pred(w, tuple(args))
+            if w2 == "=":
+                left = scope.resolve_term(w, at, self)
+                self.i = at + 2
+                t = words[self.i]
+                if t not in self.names:
+                    raise self.expected("a name")
+                right = scope.resolve_term(t, self.i, self)
+                self.i += 1
+                scope.check_equality(at, self)
+                return Eq(left, right)
+            return scope.bare_name(w, at, self)
+        if w == "(" or w == "!":
+            if self.depth >= MAX_NESTING:
+                raise self.too_nested()
+            self.depth += 1
+            if w == "(":
+                inner = self.formula(scope)
+                self.depth -= 1
+                self.expect(")")
+                return inner
+            body = self.unary(scope)
+            self.depth -= 1
+            if self.height >= MAX_DEPTH:
+                raise self.too_deep()
+            self.height += 1
+            return Not(body)
+        if w == "forall" or w == "exists":
+            var_at = self.i
+            var = self.name()
+            if var in scope.bound:
+                raise self.fail(f"{var} is already bound here", var_at)
+            if var in scope.symbols:
+                raise self.fail(f"{var} shadows a declared symbol", var_at)
             self.expect(".")
-            scope.bound.add(var.text)
-            try:
-                body = self.nested(self.formula, scope)
-            finally:
-                scope.bound.discard(var.text)
-            cls = Forall if t.kind == "forall" else Exists
-            return self.grown(cls(var.text, body))
-        return self.atom(scope)
-
-    def atom(self, scope: "_Scope") -> Formula:
+            if self.depth >= MAX_NESTING:
+                raise self.too_nested()
+            self.depth += 1
+            scope.bound.add(var)
+            body = self.formula(scope)
+            scope.bound.discard(var)
+            self.depth -= 1
+            if self.height >= MAX_DEPTH:
+                raise self.too_deep()
+            self.height += 1
+            return (Forall if w == "forall" else Exists)(var, body)
         self.height = 0
-        if self.eat("("):
-            inner = self.nested(self.formula, scope)
-            self.expect(")")
-            return inner
-        if self.eat("true"):
+        if w == "true":
             return Verum()
-        if self.eat("false"):
+        if w == "false":
             return Falsum()
-        name = self.expect("NAME", "a formula")
-        if self.eat("("):
-            args: list[Term] = []
-            if not self.at(")"):
-                while True:
-                    args.append(self.term(scope))
-                    if not self.eat(","):
-                        break
-            self.expect(")")
-            scope.check_application(name, len(args), self)
-            return Pred(name.text, tuple(args))
-        if self.at("="):
-            left = scope.resolve_term(name, self)
-            self.advance()
-            right = self.term(scope)
-            scope.check_equality(name, self)
-            return Eq(left, right)
-        return scope.bare_name(name, self)
-
-    def term(self, scope: "_Scope") -> Term:
-        name = self.expect_name()
-        return scope.resolve_term(name, self)
+        self.i = at
+        raise self.expected("a formula")
 
 
 class _Scope:
-    """Name resolution for one formula.
+    """Name resolution for formulas over one symbol table.
 
     strict: applications must match a declared predicate and bare names a
     0-ary one.  Non-strict (definition bodies) builds atoms as written and
-    leaves discipline to the system validator.
+    leaves discipline to the system validator.  Each method that checks a
+    name takes the index of its word, where a ParseError points.
     """
 
-    def __init__(self, system: DefinitionSystem, strict: bool):
+    def __init__(self, symbols: dict, base: Signature, strict: bool):
         self.strict = strict
         self.bound: set[str] = set()
         # The system's symbol table: every declared or defined name, which
         # no binder may shadow, read by the first definition of it, so files
         # with clashing names still parse and the validator gets to report
         # them.
-        self.symbols = system.symbols()
-        self.equality_ok = system.base.equality
+        self.symbols = symbols
+        self.equality_ok = base.equality
+
+    @classmethod
+    def pair(cls, system: DefinitionSystem) -> tuple["_Scope", "_Scope"]:
+        """A lax and a strict scope sharing the system's symbol table."""
+        table = system.symbols()
+        return cls(table, system.base, False), cls(table, system.base, True)
 
     def arity(self, name: str) -> int | None:
         """The arity of a predicate, None for a constant or an unknown."""
         return self.symbols[name][1] if name in self.symbols else None
 
-    def check_constant(self, tok: Token, p: _Parser) -> None:
+    def check_constant(self, name: str, at: int, p: _Parser) -> None:
         """A defconst names a constant of the table; a predicate there is
         a term misused, as in a body."""
-        reading = self.symbols.get(tok.text)
+        reading = self.symbols.get(name)
         if reading is None:
-            raise p.fail(f"{tok.text} is not a declared constant", tok)
+            raise p.fail(f"{name} is not a declared constant", at)
         if reading[1] is not None:
-            raise p.fail(f"predicate {tok.text} used as a term", tok)
+            raise p.fail(f"predicate {name} used as a term", at)
 
-    def resolve_term(self, tok: Token, p: _Parser) -> Term:
-        if tok.text in self.bound or tok.text not in self.symbols:
-            return Var(tok.text)
-        if self.arity(tok.text) is not None:
-            raise p.fail(f"predicate {tok.text} used as a term", tok)
-        return Const(tok.text)
+    def resolve_term(self, name: str, at: int, p: _Parser) -> Term:
+        if name in self.bound or name not in self.symbols:
+            return Var(name)
+        if self.symbols[name][1] is not None:
+            raise p.fail(f"predicate {name} used as a term", at)
+        return Const(name)
 
-    def check_application(self, tok: Token, arity: int, p: _Parser) -> None:
+    def check_application(self, name: str, at: int, arity: int, p: _Parser) -> None:
         if not self.strict:
             return
-        declared = self.arity(tok.text)
+        declared = self.arity(name)
         if declared is None:
-            raise p.fail(f"unknown predicate {tok.text}", tok)
+            raise p.fail(f"unknown predicate {name}", at)
         if declared != arity:
             raise p.fail(
-                f"{tok.text} is declared /{declared}, applied to {arity} arguments",
-                tok,
+                f"{name} is declared /{declared}, applied to {arity} arguments",
+                at,
             )
 
-    def check_equality(self, tok: Token, p: _Parser) -> None:
+    def check_equality(self, at: int, p: _Parser) -> None:
         if not self.equality_ok:
-            raise p.fail("equality used but not declared in the signature", tok)
+            raise p.fail("equality used but not declared in the signature", at)
 
-    def bare_name(self, tok: Token, p: _Parser) -> Formula:
-        declared = self.arity(tok.text)
+    def bare_name(self, name: str, at: int, p: _Parser) -> Formula:
+        declared = self.arity(name)
         if declared == 0:
-            return Pred(tok.text, ())
+            return Pred(name, ())
         if self.strict:
             if declared is not None:
                 raise p.fail(
-                    f"{tok.text} is declared /{declared} and needs arguments", tok
+                    f"{name} is declared /{declared} and needs arguments", at
                 )
-            raise p.fail(f"unknown predicate {tok.text}", tok)
-        if tok.text in self.bound or (
-            declared is None and tok.text in self.symbols
-        ):
-            raise p.fail(f"{tok.text} is a term, not a formula", tok)
-        return Pred(tok.text, ())
+            raise p.fail(f"unknown predicate {name}", at)
+        if name in self.bound or (declared is None and name in self.symbols):
+            raise p.fail(f"{name} is a term, not a formula", at)
+        return Pred(name, ())
 
 
 def parse(text: str) -> ParsedFile:
@@ -579,6 +630,13 @@ def parse(text: str) -> ParsedFile:
 def parse_path(path: str) -> ParsedFile:
     with open(path, encoding="utf-8") as fh:
         return parse(fh.read())
+
+
+def _whole_formula(p: _Parser, scope: _Scope) -> Formula:
+    f = p.formula(scope)
+    if p.words[p.i]:
+        raise p.fail(f"trailing input {p.words[p.i]!r}")
+    return f
 
 
 def parse_formula(
@@ -595,10 +653,8 @@ def parse_formula(
     if system is None:
         system = DefinitionSystem(sig, ())
     p = _Parser(text)
-    scope = _Scope(system, strict=True)
-    f = p.formula(scope)
-    if not p.at("EOF"):
-        raise p.fail(f"trailing input {p.peek().text!r}")
+    scope = _Scope(system.symbols(), system.base, True)
+    f = _whole_formula(p, scope)
     return rename_apart(f, frozenset(scope.symbols))
 
 
@@ -617,44 +673,38 @@ def parse_formulas_infer(
 
     class _InferScope(_Scope):
         def __init__(self) -> None:
-            super().__init__(
-                DefinitionSystem(Signature((), (), False), ()), strict=False
-            )
+            super().__init__({}, Signature((), (), False), strict=False)
 
-        def resolve_term(self, tok: Token, p: _Parser) -> Term:
-            if tok.text in self.bound:
-                return Var(tok.text)
-            if tok.text in preds:
-                raise p.fail(f"{tok.text} used both as predicate and term", tok)
-            consts.setdefault(tok.text, None)
-            return Const(tok.text)
+        def resolve_term(self, name: str, at: int, p: _Parser) -> Term:
+            if name in self.bound:
+                return Var(name)
+            if name in preds:
+                raise p.fail(f"{name} used both as predicate and term", at)
+            consts.setdefault(name, None)
+            return Const(name)
 
-        def check_application(self, tok: Token, arity: int, p: _Parser) -> None:
-            if tok.text in consts:
-                raise p.fail(f"{tok.text} used both as predicate and term", tok)
-            seen = preds.setdefault(tok.text, arity)
+        def check_application(
+            self, name: str, at: int, arity: int, p: _Parser
+        ) -> None:
+            if name in consts:
+                raise p.fail(f"{name} used both as predicate and term", at)
+            seen = preds.setdefault(name, arity)
             if seen != arity:
-                raise p.fail(f"{tok.text} applied with arities {seen} and {arity}", tok)
+                raise p.fail(f"{name} applied with arities {seen} and {arity}", at)
 
-        def check_equality(self, tok: Token, p: _Parser) -> None:
+        def check_equality(self, at: int, p: _Parser) -> None:
             nonlocal equality
             equality = True
 
-        def bare_name(self, tok: Token, p: _Parser) -> Formula:
-            if tok.text in self.bound:
-                raise p.fail(f"{tok.text} is a term, not a formula", tok)
-            if tok.text in consts:
-                raise p.fail(f"{tok.text} used both as predicate and term", tok)
-            self.check_application(tok, 0, p)
-            return Pred(tok.text, ())
+        def bare_name(self, name: str, at: int, p: _Parser) -> Formula:
+            if name in self.bound:
+                raise p.fail(f"{name} is a term, not a formula", at)
+            if name in consts:
+                raise p.fail(f"{name} used both as predicate and term", at)
+            self.check_application(name, at, 0, p)
+            return Pred(name, ())
 
-    raw: list[Formula] = []
-    for text in texts:
-        p = _Parser(text)
-        f = p.formula(_InferScope())
-        if not p.at("EOF"):
-            raise p.fail(f"trailing input {p.peek().text!r}")
-        raw.append(f)
+    raw = [_whole_formula(_Parser(text), _InferScope()) for text in texts]
     sig = Signature(
         tuple(preds.items()), tuple(consts), equality
     )

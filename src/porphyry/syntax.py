@@ -348,10 +348,14 @@ def rename_apart(
     clashes get the smallest fresh suffix, deterministically in pre-order.
     """
     fx = facts(f)
-    # Every name in `taken` is also in `used`: both start from `reserved`,
-    # every free variable is a name, and each binder joins both.
-    used = set(fx.names) | set(reserved)
-    taken = set(fx.frees) | set(reserved)
+    # A binder is renamed when its name is taken (free in f, reserved, or
+    # given to an earlier binder), to one that is neither used (a name of
+    # f, or given) nor reserved.  `reserved` is copied only for a binder
+    # that is renamed, so a call that renames nothing costs no more for a
+    # large one.  Every name in `taken` is also in `used`: every free
+    # variable is a name, and each binder joins both.
+    used = set(fx.names)
+    taken = set(fx.frees)
 
     def walk(g: Formula, env: dict[str, str]) -> Formula:
         if isinstance(g, (Verum, Falsum)):
@@ -365,8 +369,8 @@ def rename_apart(
         if isinstance(g, BINARY):
             return type(g)(walk(g.left, env), walk(g.right, env))
         if isinstance(g, QUANTIFIERS):
-            if g.var in taken:
-                name = fresh_name(g.var, used)
+            if g.var in taken or g.var in reserved:
+                name = fresh_name(g.var, used.union(reserved))
             else:
                 name = g.var
             taken.add(name)

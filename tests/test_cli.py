@@ -411,15 +411,24 @@ raise SystemExit(main(sys.argv[1:]))
 """
 
 
-def run_child(*args):
-    """Run python with the given arguments and porphyry importable."""
+def child_env():
+    """The environment of a child python with porphyry importable."""
     env = dict(os.environ)
     env.pop(cli.CEILING_ENV, None)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def run_child(*args):
+    """Run python with the given arguments and porphyry importable."""
     r = subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=120,
     )
     return r.returncode, r.stdout, r.stderr
 
@@ -431,6 +440,25 @@ def test_python_dash_m_runs_the_cli():
         assert (code, out.splitlines()[0]) == (cli.EXIT_OK, "satisfiable: yes")
         code, out, _ = run_child("-m", module, "sat", "--formula", "M(x) & !M(x)", *sig)
         assert (code, out) == (cli.EXIT_FOUND, "satisfiable: no\n")
+
+
+def test_closed_stdout_exits_2_without_a_traceback():
+    # As in `porphyry demo magma --max-size 3 | head -1`, but the reading
+    # end is closed before the child writes anything, so the report meets
+    # a pipe with no reader every time.
+    for argv in (
+        ["demo", "magma", "--max-size", "3"],
+        ["sat", "--formula", "exists x. M(x)", "--sig", "pred M/1;", "--json"],
+    ):
+        child = subprocess.Popen(
+            [sys.executable, "-m", "porphyry", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=child_env(),
+        )
+        child.stdout.close()
+        _, err = child.communicate(timeout=120)
+        assert (child.returncode, err) == (cli.EXIT_ERROR, b""), argv
 
 
 def test_ceiling_past_the_digit_limit_exits_cleanly(capsys, tmp_path):

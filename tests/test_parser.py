@@ -10,6 +10,7 @@ from porphyry import (
     And,
     Const,
     ConstantDef,
+    DefinitionSystem,
     Eq,
     Exists,
     Falsum,
@@ -176,6 +177,52 @@ def test_asserts_are_strict():
         parse("sig { pred M1/1; } assert B(x);")
     with pytest.raises(ParseError, match="declared /1"):
         parse("sig { pred M1/1; } assert M1(x, x);")
+
+
+def test_asserts_read_one_symbol_table(monkeypatch):
+    # However many asserts a file holds, the parser builds the same number
+    # of symbol tables, and each assert is what parse_formula reads against
+    # the entries before it.
+    claims = [
+        "forall x. {d}(x) -> P(x)",
+        "(forall x. P(x)) & (forall x. {d}(x) | P(c))",
+        "P(x1) & exists x. {d}(x) & x = c",
+    ]
+
+    def source(per_block):
+        blocks = ["sig { pred P/1; const c; equality; }"]
+        for k in range(10):
+            blocks.append(f"defsys {{ def D{k}(x) := P(x) & P(c); }}")
+            blocks += [f"assert {claims[j % 3].format(d=f'D{k}')};" for j in range(per_block)]
+        return "\n".join(blocks)
+
+    built = []
+    symbols = DefinitionSystem.symbols
+    monkeypatch.setattr(
+        DefinitionSystem, "symbols", lambda self: built.append(1) or symbols(self)
+    )
+    counts = []
+    for per_block in (0, 1, 5):
+        built.clear()
+        pf = parse(source(per_block))
+        counts.append(len(built))
+    assert counts[0] == counts[1] == counts[2]
+    monkeypatch.undo()
+
+    expected = [
+        parse_formula(
+            claims[j % 3].format(d=f"D{k}"),
+            pf.signature,
+            DefinitionSystem(pf.signature, pf.system.entries[: k + 1]),
+        )
+        for k in range(10)
+        for j in range(5)
+    ]
+    assert pf.asserts == tuple(expected)
+    assert pf.asserts[1] == And(
+        Forall("x", P("P", "x")),
+        Forall("x1", Or(P("D0", "x1"), Pred("P", (Const("c"),)))),
+    )
 
 
 def test_equality_gate():
