@@ -175,7 +175,7 @@ def _minimal_cover(
             covered = frozenset().union(*(cov for cov, _ in combo))
             if minterms <= covered:
                 return [vc for _, vc in combo]
-    raise AssertionError("cell cover must exist")
+    recheck(False, "cell cover must exist")
 
 
 def _impl_key(vc: tuple[int, int]) -> tuple[int, int, int]:

@@ -34,6 +34,13 @@ index of each word: a ParseError scans the text again to find the
 offset of its word, and from it the line and column (from 1, a tab
 counting as one column).
 
+Within one text, equal subformulas are one object.  Every node the parser
+builds, down to each Var and Const, goes through a table that lives exactly
+as long as the parse and hands back the node already built for an equal
+key, so a parsed file holds one node per distinct subtree.  Nodes are
+frozen and compare structurally, so only the number of objects changes;
+two parses of one text share no node.
+
 Names resolve through the system's symbol table (`DefinitionSystem.symbols`),
 which a defsys block extends entry by entry.  Definition bodies may mention
 symbols that are not declared (yet); ordering and arity discipline is the
@@ -162,7 +169,7 @@ class _Parser:
     raised.
     """
 
-    __slots__ = ("text", "words", "names", "i", "depth", "height")
+    __slots__ = ("text", "words", "names", "i", "depth", "height", "nodes")
 
     def __init__(self, text: str):
         self.text = text
@@ -171,6 +178,20 @@ class _Parser:
         self.depth = 0
         # Tree depth of the formula parsed last: 0 for an atom.
         self.height = 0
+        # Each distinct node of this parse, under its key (see `build`).
+        self.nodes: dict[tuple, Formula | Term] = {}
+
+    # ------------------------------------------------------------- nodes
+
+    def build(self, key: tuple, cls: type, *fields: object) -> Formula | Term:
+        """The node cls(*fields) of this parse, built only if no node has
+        `key` yet.  A key is the class, then each name by value and each
+        child node by id: the table keeps every node it keys alive, so
+        equal keys are equal nodes."""
+        node = self.nodes.get(key)
+        if node is None:
+            node = self.nodes[key] = cls(*fields)
+        return node
 
     # ------------------------------------------------------ word plumbing
 
@@ -340,7 +361,10 @@ class _Parser:
                 scope.check_constant(rhs, at, self)
                 self.expect(";")
                 var = fresh_name("y", sig.names() | {name, rhs})
-                entry = ConstantDef(name, var, Eq(Var(var), Const(rhs)))
+                left = self.build((Var, var), Var, var)
+                right = self.build((Const, rhs), Const, rhs)
+                body = self.build((Eq, id(left), id(right)), Eq, left, right)
+                entry = ConstantDef(name, var, body)
             else:
                 raise self.fail("expected 'def' or 'defconst'")
             entries.append(entry)
@@ -460,7 +484,7 @@ class _Parser:
             if height >= MAX_DEPTH:
                 raise self.too_deep()
             self.height = height + 1
-            left = cls(left, right)
+            left = self.build((cls, id(left), id(right)), cls, left, right)
             op = _BINARY.get(words[self.i])
         return left
 
@@ -475,6 +499,7 @@ class _Parser:
             if w2 == "(":
                 i = at + 2
                 args: list[Term] = []
+                key: list[object] = [Pred, w]
                 if words[i] != ")":
                     names = self.names
                     while True:
@@ -482,7 +507,9 @@ class _Parser:
                         if t not in names:
                             self.i = i
                             raise self.expected("a name")
-                        args.append(scope.resolve_term(t, i, self))
+                        arg = scope.resolve_term(t, i, self)
+                        args.append(arg)
+                        key.append(id(arg))
                         i += 1
                         if words[i] != ",":
                             break
@@ -492,7 +519,7 @@ class _Parser:
                         raise self.expected("')'")
                 self.i = i + 1
                 scope.check_application(w, at, len(args), self)
-                return Pred(w, tuple(args))
+                return self.build(tuple(key), Pred, w, tuple(args))
             if w2 == "=":
                 left = scope.resolve_term(w, at, self)
                 self.i = at + 2
@@ -502,7 +529,7 @@ class _Parser:
                 right = scope.resolve_term(t, self.i, self)
                 self.i += 1
                 scope.check_equality(at, self)
-                return Eq(left, right)
+                return self.build((Eq, id(left), id(right)), Eq, left, right)
             return scope.bare_name(w, at, self)
         if w == "(" or w == "!":
             if self.depth >= MAX_NESTING:
@@ -518,7 +545,7 @@ class _Parser:
             if self.height >= MAX_DEPTH:
                 raise self.too_deep()
             self.height += 1
-            return Not(body)
+            return self.build((Not, id(body)), Not, body)
         if w == "forall" or w == "exists":
             var_at = self.i
             var = self.name()
@@ -537,12 +564,13 @@ class _Parser:
             if self.height >= MAX_DEPTH:
                 raise self.too_deep()
             self.height += 1
-            return (Forall if w == "forall" else Exists)(var, body)
+            cls = Forall if w == "forall" else Exists
+            return self.build((cls, var, id(body)), cls, var, body)
         self.height = 0
         if w == "true":
-            return Verum()
+            return self.build((Verum,), Verum)
         if w == "false":
-            return Falsum()
+            return self.build((Falsum,), Falsum)
         self.i = at
         raise self.expected("a formula")
 
@@ -587,10 +615,10 @@ class _Scope:
 
     def resolve_term(self, name: str, at: int, p: _Parser) -> Term:
         if name in self.bound or name not in self.symbols:
-            return Var(name)
+            return p.build((Var, name), Var, name)
         if self.symbols[name][1] is not None:
             raise p.fail(f"predicate {name} used as a term", at)
-        return Const(name)
+        return p.build((Const, name), Const, name)
 
     def check_application(self, name: str, at: int, arity: int, p: _Parser) -> None:
         if not self.strict:
@@ -611,7 +639,7 @@ class _Scope:
     def bare_name(self, name: str, at: int, p: _Parser) -> Formula:
         declared = self.arity(name)
         if declared == 0:
-            return Pred(name, ())
+            return p.build((Pred, name), Pred, name, ())
         if self.strict:
             if declared is not None:
                 raise p.fail(
@@ -620,7 +648,7 @@ class _Scope:
             raise p.fail(f"unknown predicate {name}", at)
         if name in self.bound or (declared is None and name in self.symbols):
             raise p.fail(f"{name} is a term, not a formula", at)
-        return Pred(name, ())
+        return p.build((Pred, name), Pred, name, ())
 
 
 def parse(text: str) -> ParsedFile:
@@ -677,11 +705,11 @@ def parse_formulas_infer(
 
         def resolve_term(self, name: str, at: int, p: _Parser) -> Term:
             if name in self.bound:
-                return Var(name)
+                return p.build((Var, name), Var, name)
             if name in preds:
                 raise p.fail(f"{name} used both as predicate and term", at)
             consts.setdefault(name, None)
-            return Const(name)
+            return p.build((Const, name), Const, name)
 
         def check_application(
             self, name: str, at: int, arity: int, p: _Parser
@@ -702,7 +730,7 @@ def parse_formulas_infer(
             if name in consts:
                 raise p.fail(f"{name} used both as predicate and term", at)
             self.check_application(name, at, 0, p)
-            return Pred(name, ())
+            return p.build((Pred, name), Pred, name, ())
 
     raw = [_whole_formula(_Parser(text), _InferScope()) for text in texts]
     sig = Signature(

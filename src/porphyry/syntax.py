@@ -2,6 +2,9 @@
 
 Terms are variables or constants only; there are no function symbols of
 positive arity.  Formulas are immutable dataclasses compared structurally.
+A parsed formula shares its equal subtrees (see `parser`), and
+`rename_apart` keeps each node it does not change, so `is` never tells two
+occurrences of a subformula apart: walkers look at structure, not identity.
 
 One walk, `facts`, finds what a formula mentions: its predicates with
 their arities, constants, free variables, names, quantifier depth, use of
@@ -357,17 +360,32 @@ def rename_apart(
     used = set(fx.names)
     taken = set(fx.frees)
 
+    # A node whose parts all come back as the same objects, its binder
+    # keeping its name, comes back as itself: a call that renames nothing
+    # builds nothing, and what it keeps stays shared as it was.
     def walk(g: Formula, env: dict[str, str]) -> Formula:
         if isinstance(g, (Verum, Falsum)):
             return g
         if isinstance(g, Pred):
-            return Pred(g.name, tuple(_rename_term(t, env) for t in g.args))
+            args = tuple(_rename_term(t, env) for t in g.args)
+            if all(a is t for a, t in zip(args, g.args)):
+                return g
+            return Pred(g.name, args)
         if isinstance(g, Eq):
-            return Eq(_rename_term(g.left, env), _rename_term(g.right, env))
+            left = _rename_term(g.left, env)
+            right = _rename_term(g.right, env)
+            if left is g.left and right is g.right:
+                return g
+            return Eq(left, right)
         if isinstance(g, Not):
-            return Not(walk(g.body, env))
+            body = walk(g.body, env)
+            return g if body is g.body else Not(body)
         if isinstance(g, BINARY):
-            return type(g)(walk(g.left, env), walk(g.right, env))
+            left = walk(g.left, env)
+            right = walk(g.right, env)
+            if left is g.left and right is g.right:
+                return g
+            return type(g)(left, right)
         if isinstance(g, QUANTIFIERS):
             if g.var in taken or g.var in reserved:
                 name = fresh_name(g.var, used.union(reserved))
@@ -375,15 +393,20 @@ def rename_apart(
                 name = g.var
             taken.add(name)
             used.add(name)
-            return type(g)(name, walk(g.body, {**env, g.var: name}))
+            body = walk(g.body, {**env, g.var: name})
+            if name == g.var and body is g.body:
+                return g
+            return type(g)(name, body)
         raise TypeError(f"not a formula: {g!r}")
 
     return walk(f, {})
 
 
 def _rename_term(t: Term, env: dict[str, str]) -> Term:
-    if isinstance(t, Var) and t.name in env:
-        return Var(env[t.name])
+    if isinstance(t, Var):
+        name = env.get(t.name, t.name)
+        if name != t.name:
+            return Var(name)
     return t
 
 

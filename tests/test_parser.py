@@ -1,3 +1,4 @@
+import random
 import sys
 
 import hypothesis.strategies as st
@@ -385,6 +386,65 @@ def test_nesting_limit():
         parse(f"defsys {{ def D(x) := {too_long[2]}; }}")
     with pytest.raises(ParseError, match="formula deeper"):
         parse_formulas_infer([too_long[1]])
+
+
+def _nodes(formulas):
+    """Every formula and term node under `formulas`, once per occurrence."""
+    out = []
+    stack = list(formulas)
+    while stack:
+        g = stack.pop()
+        out.append(g)
+        if isinstance(g, Pred):
+            out += g.args
+        elif isinstance(g, Eq):
+            out += (g.left, g.right)
+        elif isinstance(g, (And, Or, Implies, Iff)):
+            stack += (g.left, g.right)
+        elif isinstance(g, (Not, Forall, Exists)):
+            stack.append(g.body)
+    return out
+
+
+def _chain(n, rng):
+    """A file of n definitions, each a genus and a difference."""
+    base = [f"Q{k}" for k in range(6)]
+    lines = ["sig { " + " ".join(f"pred {q}/1;" for q in base) + " pred R/2; }"]
+    lines.append("defsys {")
+    names = list(base)
+    for i in range(n):
+        q, r = rng.choice(base), rng.choice(base)
+        difference = rng.choice(
+            [f"{q}(x)", f"!{q}(x)", f"(exists y. R(x, y) & {q}(y))", f"({q}(x) | !{r}(x))"]
+        )
+        lines.append(f"  def D{i}(x) := {rng.choice(names)}(x) & {difference};")
+        names.append(f"D{i}")
+    return "\n".join(lines + ["}"])
+
+
+def test_a_parse_builds_each_distinct_subtree_once():
+    # Imported here: that module imports this one.
+    from test_parse_golden import _Gen, _join
+
+    rng = random.Random(23)
+    texts = [_chain(1000, rng)]
+    gen = _Gen(rng)
+    while len(texts) < 300:
+        text = _join(rng, gen.file())
+        try:
+            parse(text)
+        except ParseError:
+            continue
+        texts.append(text)
+    for text in texts:
+        first, second = parse(text), parse(text)
+        nodes = _nodes(e.body for e in first.system.entries)
+        # Structurally equal nodes of one parse are one object ...
+        assert len({id(g) for g in nodes}) == len(set(nodes))
+        # ... and two parses of the same text share none.
+        again = _nodes(e.body for e in second.system.entries)
+        assert again == nodes
+        assert {id(g) for g in nodes}.isdisjoint(map(id, again))
 
 
 def test_parse_formulas_infer():

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import porphyry
@@ -14,3 +17,29 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_cli_import_loads_no_package_but_numpy():
+    # A CLI call is mostly a fresh interpreter importing porphyry.cli, so
+    # each package it pulls in is paid on every call.  What the
+    # interpreter loads at start-up, before the import, does not count.
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import porphyry.cli\n"
+        "new = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+        "print(*sorted(new - set(sys.stdlib_module_names)))\n"
+    )
+    env = dict(os.environ)
+    root = str(Path(porphyry.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (root, env.get("PYTHONPATH")) if p)
+    r = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+        check=True,
+    )
+    assert set(r.stdout.split()) <= {"porphyry", "numpy"}
+    assert "porphyry" in r.stdout.split()

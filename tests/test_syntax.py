@@ -280,6 +280,69 @@ def _binders(f):
         yield from _binders(f.right)
 
 
+def _names(f):
+    """Every variable, constant and binder name in f."""
+    if isinstance(f, (Pred, Eq)):
+        return {t.name for t in (f.args if isinstance(f, Pred) else (f.left, f.right))}
+    if isinstance(f, (Forall, Exists)):
+        return {f.var} | _names(f.body)
+    if isinstance(f, Not):
+        return _names(f.body)
+    if isinstance(f, (And, Or, Implies, Iff)):
+        return _names(f.left) | _names(f.right)
+    return set()
+
+
+def _rename_rebuilding(f, reserved):
+    """rename_apart's renaming as a plain rebuild of every node: in
+    pre-order, a binder whose name is free, reserved or given to an earlier
+    binder takes the least suffix that is neither a name of f, given, nor
+    reserved."""
+    used = _names(f)
+    taken = set(occurring(f)[2])
+
+    def term(t, env):
+        return Var(env.get(t.name, t.name)) if isinstance(t, Var) else t
+
+    def walk(g, env):
+        if isinstance(g, Pred):
+            return Pred(g.name, tuple(term(t, env) for t in g.args))
+        if isinstance(g, Eq):
+            return Eq(term(g.left, env), term(g.right, env))
+        if isinstance(g, Not):
+            return Not(walk(g.body, env))
+        if isinstance(g, (And, Or, Implies, Iff)):
+            return type(g)(walk(g.left, env), walk(g.right, env))
+        if isinstance(g, (Forall, Exists)):
+            name, k = g.var, 0
+            while name in taken | reserved or k and name in used:
+                k += 1
+                name = f"{g.var}{k}"
+            taken.add(name)
+            used.add(name)
+            return type(g)(name, walk(g.body, {**env, g.var: name}))
+        return type(g)()
+
+    return walk(f, {})
+
+
+def test_rename_apart_keeps_what_it_does_not_rename():
+    rng = random.Random(2006)
+    kept = renamed = 0
+    for i in range(300):
+        f = random_formula(rng, PREDS, scope=["x"], max_q=3, consts=("c",))
+        reserved = frozenset({"c", "v1"} if i % 2 else {"c"})
+        want = _rename_rebuilding(f, reserved)
+        got = rename_apart(f, reserved)
+        assert got == want
+        if want == f:
+            assert got is f
+            kept += 1
+        else:
+            renamed += 1
+    assert kept > 50 and renamed > 50
+
+
 @given(formulas())
 def test_rename_apart_distinctness(f):
     g = rename_apart(f, frozenset({"c"}))
