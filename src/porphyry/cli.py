@@ -16,8 +16,8 @@ inconclusive (bound exhausted on a query outside the unary fragment).
 
 Every report states which entailment engine ran: `exact-monadic` answers
 are conclusive, `bounded` answers hold only up to the stated model size.
-The engine is chosen by `monadic._engine_bound` for every command, and
-every entailment is asked of `monadic._verdicts`.
+The engine is chosen by `semantics._engine_bound` for every command, and
+every entailment is asked of `semantics._verdicts`.
 JSON output (--json) follows the schemas in SCHEMAS; emitted models and
 definition blocks are re-parseable source text.
 """
@@ -41,7 +41,7 @@ from .extensional import (
     reconstruct,
 )
 from .magma import MAX_DEMO_SIZE, demo_dsl
-from .monadic import Sat, _engine_bound, _verdicts, decide_sat, monadic_normal_form
+from .monadic import Sat, decide_sat, monadic_normal_form
 from .parser import ParseError, parse, parse_formula, parse_formulas_infer, parse_path
 from .predicabilia import (
     ClassificationVerdict,
@@ -50,7 +50,7 @@ from .predicabilia import (
     porphyry_tree,
     proximate_genus,
 )
-from .semantics import Holds, HoldsUpTo, ResourceCeilingError
+from .semantics import Holds, HoldsUpTo, ResourceCeilingError, _engine_bound, _verdicts
 from .syntax import Signature, render
 
 EXIT_OK = 0

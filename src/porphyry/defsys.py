@@ -44,7 +44,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .semantics import FiniteModel, _countermodels, _Tensors, recheck
+from .semantics import Countermodel, FiniteModel, _Tensors, _verdicts, recheck
 from .syntax import (
     BINARY,
     QUANTIFIERS,
@@ -613,10 +613,10 @@ def irreducibility_warnings(
         rows = [_expand(part, table, d.entries) for part in parts]
         n = len(parts)
         queries = [(tuple(k for k in range(n) if k != j), j) for j in range(n)]
-        hits = _countermodels(d.base, rows, queries, size_bound, ceiling)
+        verdicts = _verdicts(d.base, rows, queries, size_bound, ceiling)
         warnings += [
             RedundancyWarning(i, j, render(parts[j]))
-            for j, hit in enumerate(hits)
-            if hit is None
+            for j, v in enumerate(verdicts)
+            if not isinstance(v, Countermodel)
         ]
     return tuple(warnings)

@@ -141,29 +141,18 @@ def _minimal_cover(
     free to include dontcare cells.  Deterministic: prime implicants ordered
     by (literal count, fixed bits, values), first minimal combination wins."""
     allowed = minterms | dontcare
+    # An implicant (value, care) covers the cells c with c & care == value:
+    # value plus any bits outside care.  Its coverage determines it.
+    cells = range(1 << k)
     implicants: dict[frozenset[int], tuple[int, int]] = {}
-    for care in range(1 << k):
-        free = [i for i in range(k) if not (care >> i) & 1]
-        care_bits = [i for i in range(k) if (care >> i) & 1]
-        for vbits in range(1 << len(care_bits)):
-            value = 0
-            for j, i in enumerate(care_bits):
-                if (vbits >> j) & 1:
-                    value |= 1 << i
-            cells = []
-            for fbits in range(1 << len(free)):
-                c = value
-                for j, i in enumerate(free):
-                    if (fbits >> j) & 1:
-                        c |= 1 << i
-                cells.append(c)
-            coverage = frozenset(cells)
-            if not coverage <= allowed or not coverage & minterms:
+    for care in cells:
+        spread = [c for c in cells if not c & care]
+        for value in cells:
+            if value & care != value:
                 continue
-            old = implicants.get(coverage)
-            cand = (value, care)
-            if old is None or _impl_key(cand) < _impl_key(old):
-                implicants[coverage] = cand
+            coverage = frozenset(value | c for c in spread)
+            if coverage <= allowed and coverage & minterms:
+                implicants[coverage] = (value, care)
     primes = [
         (cov, vc)
         for cov, vc in implicants.items()

@@ -15,8 +15,9 @@ same order as either entailment alone, so each countermodel in its
 evidence is that entailment's own first hit.
 
 Each public call validates its definition system once, building its
-symbol table once, then unfolds and builds the tree with the private forms
-`_unfold` and `_tree`, which read that table.
+symbol table once, then unfolds with the private form `_unfold`, which
+reads that table.  `classify_formula` reads the genus edge of its species
+off that species' own entry, as `porphyry_tree` draws it.
 """
 
 from __future__ import annotations
@@ -24,13 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .defsys import DefinitionSystem, PredicateDef, Symbol, _require_valid, _unfold
-from .monadic import _engine_bound, _verdicts
 from .semantics import (
     Countermodel,
     EntailmentVerdict,
     Holds,
     HoldsUpTo,
     _check_ceiling,
+    _engine_bound,
+    _verdicts,
     recheck,
 )
 from .syntax import (
@@ -102,14 +104,7 @@ def porphyry_tree(
     with no guarded shape and no species of their own are unguarded and
     stay outside the tree.
     """
-    return _tree(d, _require_valid(d))
-
-
-def _tree(
-    d: DefinitionSystem, table: dict[str, Symbol]
-) -> tuple[PorphyryTree, tuple[str, ...]]:
-    """porphyry_tree over a system already validated, with its symbol
-    table."""
+    table = _require_valid(d)
     edges: list[PorphyryEdge] = []
     for e in d.entries:
         hit = _guarded_split(e, table) if e.arity == 1 else None
@@ -201,11 +196,9 @@ def classify_formula(
     rho_u = _unfold(_align_free_var(rho, param), d, table, s_index)
     psi = _unfold(Pred(species, (Var(param),)), d, table)
 
-    tree, _ = _tree(d, table)
-    edge = next((e for e in tree.edges if e.species == species), None)
-    delta_u = None
-    if edge is not None:
-        delta_u = _unfold(_align_free_var(edge.difference, param), d, table)
+    # The species' own genus edge, as porphyry_tree draws it.
+    split = _guarded_split(d.entries[s_index], table)
+    delta_u = None if split is None else _unfold(split[1], d, table)
 
     pool = [rho_u, psi] + ([delta_u] if delta_u is not None else [])
     b = _engine_bound(d.base, pool, bound)

@@ -1,4 +1,4 @@
-"""Finite models, Tarskian evaluation, and bounded entailment search.
+"""Finite models, Tarskian evaluation, and both entailment engines.
 
 The interpretations of a signature on {0..size-1} are numbered.  Index i is
 read as mixed-radix digits, one of radix 2^(size^arity) per predicate and one
@@ -8,28 +8,64 @@ lexicographic order, into the extent, and a constant's digit is its element.
 `enumerate_models` walks this order, so the first countermodel found is a
 stable, reproducible artifact.
 
-One chunked first-hit scan, `_scan`, serves both entailment engines.  An
-engine hands it chunks of models: for `bounded_entails`, runs of
-interpretations of one size in this order, decoded into boolean extent
-arrays by the loop `enumerate_models` also walks; for the exact monadic
-engine, slices of its supports used as bitmask domains.  The scan sizes
-the chunks to a cell budget, evaluates each formula over a whole chunk,
-and over every assignment of its holders, as one numpy boolean tensor
-(`_Tensors`), and takes the first hit in scan order.  `evaluate`, the
-plain recursive evaluator, re-checks every witness before it is
-returned.  A resource ceiling guards every enumeration; nothing silently
-explodes.
+`_verdicts` is the one door to both engines: every entailment the library
+decides is a batch asked of it, and it alone turns scan hits into
+verdicts.  The engine is a bound: None for the exact monadic scan, a
+universe size for the bounded scan, as `_engine_bound` picks it.  A query
+is "conjunction of rows entails row" over one list of formulas; one scan
+answers a batch of them, each chunk evaluating every row asked about once
+and each open query taking its first hit from those rows.  Each hit is
+re-checked by `evaluate`, the plain recursive evaluator, before it
+becomes a Countermodel; a query with no hit gets Holds (exact) or
+HoldsUpTo(bound).  A resource ceiling guards every enumeration; nothing
+silently explodes.
 
-The scan answers a batch of queries at once: each is "conjunction of
-rows entails row" over one list of formulas, each chunk evaluates every
-row once, and each query still open takes its first hit from those rows.
-`bounded_entails` is the one-query case of `_countermodels`.
+One chunked first-hit scan, `_scan`, serves both engines; they differ
+only in the chunks they hand it and in how a hit becomes a witness.  The
+scan sizes the chunks to a cell budget, evaluates each formula over a
+whole chunk, and over every assignment of its holders, as one numpy
+boolean tensor (`_Tensors`), and takes the first hit in scan order.  The
+bounded engine's chunks are runs of interpretations of each size
+1..bound in the order above, decoded into boolean extent arrays by the
+loop `enumerate_models` also walks.
+
+The exact engine decides formulas over k unary predicates without
+equality.  Elements then matter only through their cell: which of the k
+predicates they satisfy, cells being numbered by binary counting over
+predicate indices (bit i set meaning predicate i holds).  A model is
+determined, up to the truth of any formula, by its support (the
+nonempty set of inhabited cells) plus a cell for each holder: each free
+variable and constant.  Support s is evaluated as a cell model whose
+elements are its inhabited cells.  Element e is always cell e, so
+predicate i holds of e exactly when bit i of e is set, in every support:
+the extents are one boolean array of 2^k elements shared by all
+supports.  What varies is the domain, s itself as a bitmask of cells,
+and quantifiers range over it: slices of supports are the chunks, with
+their bitmasks as the scan's domain.  A quantified body that is the same
+for every support packs into one bitmask of the cells it holds of, so
+each support is tested with one integer operation (exists: s & mask !=
+0; forall: s & ~mask == 0); a body that differs between supports is
+masked to the inhabited cells first.  A holder is an outermost exists
+over the inhabited cells, so the same test serves it: a hit that is the
+same for every support packs its last holder into one bitmask of cells
+for each assignment of the others, support s hits iff those others sit
+in inhabited cells and s & mask != 0, and the last holder takes the
+lowest set bit of s & mask.  Any other hit gives each holder its own
+axis, masked to the inhabited cells.  Supports are numbered by binary
+counting over cells and scanned by (number of inhabited cells, value);
+the witness is the first hit, holder cells tried in lexicographic order,
+rebuilt with one element per inhabited cell, which makes witnesses
+reproducible and small (at most 2^k elements).  Packing keeps that
+order, so it keeps every witness.  Satisfiability does not change when
+predicates are added, so every verdict of a batch is the verdict of the
+query's own scan; when the batch's predicates together exceed the
+ceiling, each query gets its own scan instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from itertools import product
 from typing import Iterable, Iterator, Mapping
 
@@ -53,6 +89,7 @@ from .syntax import (
     Var,
     Verum,
     facts,
+    render,
 )
 
 DEFAULT_CEILING = 2_000_000
@@ -365,55 +402,178 @@ def bounded_entails(
     is the first hit in enumeration order (smallest size first, then
     interpretation index, then assignments with the sorted free variables
     varying last-fastest) and is re-checked by evaluate before being
-    returned.  This is the one-query case of `_countermodels`.
+    returned.  This is the one-query case of `_verdicts`.
     """
     if bound is None:
         bound = default_bound(sig)
-    rows = [*premises, conclusion]
     query = (tuple(range(len(premises))), len(premises))
-    hit = _countermodels(sig, rows, [query], bound, ceiling)[0]
-    return HoldsUpTo(bound) if hit is None else Countermodel(*hit)
+    return _verdicts(sig, [*premises, conclusion], [query], bound, ceiling)[0]
 
 
-def _countermodels(sig, rows, queries, bound, ceiling):
-    """The first hit of each query (see Query) over universes of size
-    1..bound, as (model, assignment), or None when it has none.
+def _monadic(fx: Facts) -> bool:
+    return not fx.equality and all(a == {1} for a in fx.preds.values())
 
-    One scan answers every query: each chunk evaluates each row once, the
-    queries still open read their hits off those rows, and the scan stops
-    once every query is decided.  The free variables of the rows the
-    queries name are the holders, so a one-query scan is exactly
-    `bounded_entails`; a batch gives each query the same verdict as its
-    own scan.  Each hit is re-checked by evaluate.  bound None means
-    `default_bound(sig)`.
+
+def _engine_bound(
+    sig: Signature, formulas: list[Formula] | tuple[Formula, ...], bound: int | None
+) -> int | None:
+    """The engine for entailments among `formulas`, as the bound `_verdicts`
+    takes: None, the exact monadic engine, when every formula is monadic,
+    otherwise the bounded scan up to `bound` or `default_bound(sig)`."""
+    if all(_monadic(facts(f)) for f in formulas):
+        return None
+    return bound if bound is not None else default_bound(sig)
+
+
+def _verdicts(
+    sig: Signature,
+    rows: list[Formula],
+    queries: list[Query],
+    bound: int | None,
+    ceiling: int | None,
+) -> list[EntailmentVerdict]:
+    """The verdict of each query (premise rows ⊨ conclusion row, see Query)
+    by one scan of the engine `bound` names: every entailment the library
+    decides is asked here.
+
+    bound None is the exact engine over the supports of the k predicates
+    of the rows asked (ValueError for a row outside the monadic fragment):
+    a query with no hit gets Holds.  When those supports trip the ceiling,
+    each query gets its own scan instead, which raises only where that
+    query alone would.  Any other bound is the bounded scan over universe
+    sizes 1..bound, each size checked against the ceiling before it is
+    scanned: a query with no hit gets HoldsUpTo(bound).  A hit, re-checked
+    by evaluate, is the query's Countermodel.  The scan covers the
+    predicates and holders of every row asked, so a query whose rows are
+    all the rows asked gets the witness of its own one-query scan.
     """
-    if bound is None:
-        bound = default_bound(sig)
-    if bound < 1:
+    if bound is not None and bound < 1:
         raise ValueError("bound must be at least 1")
     if not queries:
         return []
-    asked = [facts(f) for f in _asked(rows, queries)]
-    for fx in asked:
+    formulas = _asked(rows, queries)
+    asked = [facts(f) for f in formulas]
+    for f, fx in zip(formulas, asked):
+        if bound is None and not _monadic(fx):
+            raise ValueError(f"not in the monadic fragment: {render(f)}")
         _check_symbols(sig, fx)
     depth = max(fx.depth for fx in asked)
-    frees = sorted(frozenset().union(*(fx.frees for fx in asked)))
+    frees = frozenset().union(*(fx.frees for fx in asked))
+    if bound is None:
+        try:
+            scans = [_support_scan(sig, asked, frees, ceiling)]
+        except ResourceCeilingError:
+            if len(queries) < 2:
+                raise
+            return [_verdicts(sig, rows, [q], None, ceiling)[0] for q in queries]
+        held: EntailmentVerdict = Holds()
+    else:
+        scans = (
+            _interpretation_scan(sig, size, sorted(frees), ceiling)
+            for size in range(1, bound + 1)
+        )
+        held = HoldsUpTo(bound)
     found: dict[int, tuple[FiniteModel, dict[str, int]]] = {}
-    for size in range(1, bound + 1):
-        if len(found) == len(queries):
+    for size, chunks, holders, consts, extent_cells, witness in scans:
+        open_ = {q: query for q, query in enumerate(queries) if q not in found}
+        if not open_:
             break
-        open_ = {q: queries[q] for q in range(len(queries)) if q not in found}
-        chunks = partial(_interpretations, sig, size, ceiling)
-        for (_, preds, consts, _), hits in _scan(
-            rows, open_, chunks, size, frees, (), depth, _bits(sig, size)
-        ):
-            models = {}
+        scan = _scan(rows, open_, chunks, size, holders, consts, depth, extent_cells)
+        for chunk, hits in scan:
+            # Queries that hit one column of the chunk share its witness.
+            witnesses = {}
             for q, (row, values) in hits.items():
-                if row not in models:
-                    models[row] = _model(size, preds, consts, row)
-                found[q] = (models[row], dict(zip(frees, values)))
+                column = (row, *values)
+                if column not in witnesses:
+                    witnesses[column] = witness(chunk, row, values)
+                found[q] = witnesses[column]
     _recheck_hits(rows, queries, found)
-    return [found.get(q) for q in range(len(queries))]
+    return [
+        Countermodel(*found[q]) if q in found else held for q in range(len(queries))
+    ]
+
+
+def _interpretation_scan(sig: Signature, size: int, frees: list[str], ceiling):
+    """The bounded engine's scan of the universe {0..size-1}, as `_verdicts`
+    reads it: (size, chunks, holders, constant holders, extent cells,
+    witness).  The chunks decode the interpretations and include the
+    constants; a hit's witness is its interpretation and the assignment of
+    the free variables."""
+
+    def witness(chunk, row: int, values: list[int]):
+        _, preds, consts, _ = chunk
+        return _model(size, preds, consts, row), dict(zip(frees, values))
+
+    chunks = partial(_interpretations, sig, size, ceiling)
+    return size, chunks, frees, (), _bits(sig, size), witness
+
+
+def _support_scan(sig: Signature, asked: list[Facts], frees, ceiling):
+    """The exact engine's scan of the supports over the predicates of the
+    rows asked, in signature order, as `_interpretation_scan` gives its
+    own.  The holders are the sorted free variables, then the constants in
+    signature order; a hit's witness is `_canonical_model`.
+    ResourceCeilingError, before any work, when the 2^(2^k) supports exceed
+    the ceiling."""
+    used = {p for fx in asked for p in fx.preds}
+    named = {c for fx in asked for c in fx.consts}
+    preds = [name for name, _ in sig.predicates if name in used]
+    consts = [c for c in sig.constants if c in named]
+    frees = sorted(frees - named)
+    ncells = 1 << len(preds)
+    _check_ceiling(ncells, ceiling, what="supports")
+    supports = _cell_models(len(preds))
+    # Element e is cell e in every cell model: the extents do not depend on
+    # the support, so their model axis has length 1.
+    elements = np.arange(ncells)[:, None]
+    ext = {p: (elements >> i) & 1 == 1 for i, p in enumerate(preds)}
+
+    def chunks(step):
+        """The supports in scan order, `step` to a chunk, as its domains."""
+        for start in range(0, len(supports), step):
+            domain = supports[start : start + step]
+            yield len(domain), ext, {}, domain
+
+    def witness(chunk, row: int, values: list[int]):
+        names = dict(zip(frees + consts, values))
+        return _canonical_model(int(chunk[3][row]), names, preds, sig)
+
+    return ncells, chunks, frees, consts, 0, witness
+
+
+@lru_cache(maxsize=None)
+def _cell_models(k: int) -> np.ndarray:
+    """The supports over k predicates in scan order, as int64 cell
+    bitmasks: by number of inhabited cells, then value.  Read-only, as
+    every call with the same k shares them."""
+    supports = np.arange(1, 1 << (1 << k), dtype=np.int64)
+    inhabited = sum((supports >> c) & 1 for c in range(1 << k))
+    supports = supports[np.argsort(inhabited, kind="stable")]
+    supports.setflags(write=False)
+    return supports
+
+
+def _canonical_model(
+    support: int, names: dict[str, int], preds: list[str], sig: Signature
+) -> tuple[FiniteModel, dict[str, int]]:
+    """The witness of a support: one element per inhabited cell, in cell
+    order, with each holder of `names` on the element of its cell.  Free
+    variables go to the assignment; unnamed constants denote element 0,
+    and unused unary predicates are empty."""
+    cells = [c for c in range(1 << len(preds)) if (support >> c) & 1]
+    extents = {
+        p: frozenset((e,) for e, c in enumerate(cells) if (c >> i) & 1)
+        for i, p in enumerate(preds)
+    }
+    for pname, arity in sig.predicates:
+        if pname not in extents and arity == 1:
+            extents[pname] = frozenset()
+    at = {name: cells.index(cell) for name, cell in names.items()}
+    consts = {c: e for c, e in at.items() if sig.is_constant(c)}
+    for c in sig.constants:
+        consts.setdefault(c, 0)
+    assignment = {v: e for v, e in at.items() if not sig.is_constant(v)}
+    return FiniteModel(len(cells), consts, extents), assignment
 
 
 def _recheck_hits(rows, queries, found) -> None:

@@ -17,6 +17,7 @@ import porphyry.semantics
 from porphyry import (
     And,
     Const,
+    Countermodel,
     DefinitionSystem,
     Difference,
     Exists,
@@ -44,8 +45,7 @@ from porphyry import (
     quantifier_depth,
     unfold,
 )
-from porphyry.monadic import _cell_countermodels, _verdicts
-from porphyry.semantics import _countermodels
+from porphyry.semantics import _verdicts
 
 
 def _random_batch(rng, preds, consts, frees, rows=4):
@@ -111,11 +111,11 @@ def test_bounded_batch_matches_per_query_oracle(monkeypatch, cells):
         frees = rng.sample(["x", "y"], rng.randint(0, 2 - len(consts)))
         sig = Signature((("M1", 1), ("M2", 1)), tuple(consts), False)
         formulas, queries = _random_batch(rng, ["M1", "M2"], consts, frees)
-        hits = _countermodels(sig, formulas, queries, 3, None)
+        verdicts = _verdicts(sig, formulas, queries, 3, None)
         want = [
             _bounded_oracle(formulas, q, sig, sorted(frees), 3) for q in queries
         ]
-        assert [hit is None for hit in hits] == want
+        assert [isinstance(v, HoldsUpTo) for v in verdicts] == want
 
 
 @pytest.mark.parametrize("cells", [None, 40, 3])
@@ -136,10 +136,11 @@ def test_bounded_batch_witnesses_match_one_query_scans(monkeypatch, cells):
         )
         rows = formulas + [pad]
         padded = [((*premises, len(formulas)), c) for premises, c in queries]
-        hits = _countermodels(sig, rows, padded, 3, None)
-        assert any(hits) and not all(hits)
-        for query, hit in zip(padded, hits):
-            assert hit == _countermodels(sig, rows, [query], 3, None)[0]
+        verdicts = _verdicts(sig, rows, padded, 3, None)
+        refuted = [isinstance(v, Countermodel) for v in verdicts]
+        assert any(refuted) and not all(refuted)
+        for query, v in zip(padded, verdicts):
+            assert v == _verdicts(sig, rows, [query], 3, None)[0]
 
 
 def _pad(rows, sig):
@@ -207,8 +208,9 @@ def test_packed_holder_matches_first_cell_model(monkeypatch, cells):
     for trial, (sig, rows) in enumerate(_packing_cases(random.Random(303), cells)):
         preds = [p for p, _ in sig.predicates]
         pad, named = _pad(rows, sig)
-        got = _cell_countermodels(rows, queries, sig, None)
-        for q, hit in zip(queries, got):
+        got = _verdicts(sig, rows, queries, None, None)
+        for q, v in zip(queries, got):
+            hit = (v.model, v.assignment) if isinstance(v, Countermodel) else None
             premises, conclusion = q
             parts = [rows[i] for i in premises]
             if conclusion is not None:

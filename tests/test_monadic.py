@@ -14,9 +14,9 @@ from helpers import (
     occurring,
     random_formula,
     random_mixed_formula,
+    random_model,
     random_monadic_sentence,
 )
-import porphyry.monadic
 import porphyry.semantics
 from porphyry import (
     And,
@@ -270,7 +270,7 @@ def test_exact_and_bounded_engines_agree(f, g):
     exact = classify_formula(f, "S", _CLASSES)
     # A formula the engine chooser takes for non-monadic goes to the
     # bounded scan at default_bound(sig) = 4.
-    with mock.patch.object(porphyry.monadic, "is_monadic", lambda f: False):
+    with mock.patch.object(porphyry.semantics, "_monadic", lambda fx: False):
         scan = classify_formula(f, "S", _CLASSES)
     assert (exact.exact, scan.exact, scan.bound) == (True, False, 4)
     assert type(exact) is type(scan)
@@ -479,6 +479,29 @@ def test_mnf_random_equivalence():
                 assert naive_eval(f, m, {"x": e}) == naive_eval(g, m, {"x": e})
         if form.pure:
             assert all(d.residue == parse_formula("true", SIG) for d in form.disjuncts)
+
+
+def test_mnf_keeps_each_disjunct_once():
+    # Each formula's disjunctive forms repeat literals and disjuncts: the
+    # first once gave one cell 1,041 residues, 32 of them distinct, and the
+    # disjunction of the repeats overflowed the stack.  Each disjunct is
+    # kept once, with each literal once.
+    sig4 = Signature(tuple((f"M{i}", 1) for i in range(1, 5)), (), False)
+    texts = [
+        "forall v1. (M1(v1) -> M1(v1)) & (M2(v1) & M1(v1)) & M1(x)"
+        " | (((M1(v1) -> M4(x)) -> M1(x) -> M1(v1)) -> M1(v1))",
+        "forall v1. exists v2. (M2(v2) <-> false & M2(x)) <-> !!M1(v1)",
+        "forall v1. forall v2. !((M2(v2) <-> M1(v1)) <-> M3(x))",
+    ]
+    rng = random.Random(31)
+    preds = [p for p, _ in sig4.predicates]
+    for text in texts:
+        f = F(text, sig4)
+        g = monadic_normal_form(f, "x", sig4).to_formula()
+        for _ in range(40):
+            m = random_model(rng, preds, rng.randint(1, 4))
+            for e in range(m.size):
+                assert naive_eval(f, m, {"x": e}) == naive_eval(g, m, {"x": e}), text
 
 
 def test_mnf_cells_use_signature_order():

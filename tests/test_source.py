@@ -43,3 +43,31 @@ def test_cli_import_loads_no_package_but_numpy():
     )
     assert set(r.stdout.split()) <= {"porphyry", "numpy"}
     assert "porphyry" in r.stdout.split()
+
+
+def _name(node):
+    """The name a Name, an attribute or an import alias gives, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.asname or node.name
+    return None
+
+
+def test_one_door_makes_every_verdict():
+    # Only semantics._verdicts turns scan hits into verdicts: it is the one
+    # caller of the scan and of the re-check of its hits, and no other
+    # module names the scan.
+    root = Path(porphyry.__file__).parent
+    calls = {"_scan": [], "_recheck_hits": []}
+    naming_scan = set()
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if _name(node) == "_scan":
+                naming_scan.add(path.stem)
+            if isinstance(node, ast.Call) and _name(node.func) in calls:
+                calls[_name(node.func)].append(path.stem)
+    assert calls == {"_scan": ["semantics"], "_recheck_hits": ["semantics"]}
+    assert naming_scan == {"semantics"}
