@@ -44,7 +44,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .semantics import Countermodel, FiniteModel, _Tensors, _verdicts, recheck
+from .semantics import Countermodel, FiniteModel, _truth_table, _verdicts, recheck
 from .syntax import (
     BINARY,
     QUANTIFIERS,
@@ -62,7 +62,6 @@ from .syntax import (
     Verum,
     conjuncts,
     facts,
-    quantifier_depth,
     render,
 )
 
@@ -522,7 +521,7 @@ def expand_model(
     if missing:
         raise ValueError("model is missing base symbols: " + ", ".join(missing))
     # Extents as boolean arrays, one axis per argument and a model axis of
-    # length 1, as semantics._Tensors reads them.
+    # length 1, as semantics._truth_table reads them.
     arrays = {
         name: _extent_array(m.predicates[name], arity, m.size)
         for name, arity in d.base.predicates
@@ -539,7 +538,7 @@ def expand_model(
     for i, e in enumerate(d.entries):
         holders = e.params if isinstance(e, PredicateDef) else (e.var,)
         body = _expand(e.body, table, entries) if described else e.body
-        holds = _holds(body, holders, arrays, values, m.size)
+        holds = _truth_table(body, holders, arrays, values, m.size)
         if isinstance(e, PredicateDef):
             arrays[e.name] = holds[..., None]
             preds[e.name] = frozenset(map(tuple, np.argwhere(holds).tolist()))
@@ -568,19 +567,6 @@ def _extent_array(tuples, arity: int, size: int) -> np.ndarray:
     return arr
 
 
-def _holds(body, holders, arrays, values, size) -> np.ndarray:
-    """Truth of body for every assignment of the holders, with one axis per
-    holder; a variable named twice takes its last axis."""
-    ndim = len(holders) + quantifier_depth(body) + 1
-    ev = _Tensors(
-        arrays, {c: np.full((1,) * ndim, v) for c, v in values.items()}, 1, size, ndim
-    )
-    scope = {v: i for i, v in enumerate(holders)}
-    truth = ev.truth(body, scope, len(holders), size ** len(holders))
-    truth = truth[(slice(None),) * len(holders) + (0,) * (ndim - len(holders))]
-    return np.broadcast_to(truth, (size,) * len(holders))
-
-
 # -------------------------------------------- structural irreducibility
 
 
@@ -592,10 +578,12 @@ class RedundancyWarning:
 
 
 def irreducibility_warnings(
-    d: DefinitionSystem, size_bound: int = 3, ceiling: int | None = None
+    d: DefinitionSystem, size_bound: int | None = 3, ceiling: int | None = None
 ) -> tuple[RedundancyWarning, ...]:
     """Flag top-level conjuncts removable without changing truth on any base
-    model up to size_bound.  A bounded proxy for minimality; warning only."""
+    model up to size_bound.  A bounded proxy for minimality; warning only.
+    size_bound=None asks the exact monadic engine instead, over all models
+    (ValueError outside the monadic fragment)."""
     table = _require_valid(d)
     warnings: list[RedundancyWarning] = []
     for i, e in enumerate(d.entries):

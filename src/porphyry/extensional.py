@@ -179,9 +179,7 @@ def _sanitize(name: str, taken: set[str]) -> str:
     return fresh_name(base, taken)
 
 
-def reconstruct(
-    g: ExtensionFamily, m: FiniteModel | None = None
-) -> ReconstructionResult:
+def reconstruct(g: ExtensionFamily) -> ReconstructionResult:
     """Invert extension-taking over the family's carrier model.
 
     Largest sets first; each set becomes a definition whose body is a
@@ -190,10 +188,7 @@ def reconstruct(
     the parent are don't-cares, which is what lets a child body shrink to
     a single predicate when the model allows it.
     """
-    if m is None:
-        m = g.model
-    if m != g.model:
-        raise ValueError("carrier model differs from the family's")
+    m = g.model
     preds = _unary_preds(g.signature)
     sets = g.as_dict()
     by_extent: dict[frozenset[int], str] = {}

@@ -29,6 +29,7 @@ from .semantics import (
     recheck,
 )
 from .syntax import (
+    DUALS,
     And,
     Exists,
     Falsum,
@@ -195,37 +196,13 @@ class MonadicNormalForm:
 
 def _neg_units(g: Formula) -> Formula:
     """Negation that treats closed quantified subformulas as atoms."""
-    if isinstance(g, Verum):
-        return Falsum()
-    if isinstance(g, Falsum):
-        return Verum()
-    if isinstance(g, And):
-        return Or(_neg_units(g.left), _neg_units(g.right))
-    if isinstance(g, Or):
-        return And(_neg_units(g.left), _neg_units(g.right))
+    if isinstance(g, (And, Or)):
+        return DUALS[type(g)](_neg_units(g.left), _neg_units(g.right))
+    if isinstance(g, (Verum, Falsum)):
+        return DUALS[type(g)]()
     if isinstance(g, Not):
         return g.body
     return Not(g)
-
-
-def _dnf(g: Formula, limit: int) -> list[tuple[Formula, ...]]:
-    """The disjuncts of g, each a tuple of its conjuncts in order of first
-    occurrence, each conjunct once, and each set of conjuncts once.
-    ResourceCeilingError before building a list of more than `limit`
-    disjuncts."""
-    if isinstance(g, Verum):
-        return [()]
-    if isinstance(g, Falsum):
-        return []
-    if isinstance(g, Or):
-        out = _once(_dnf(g.left, limit) + _dnf(g.right, limit))
-        _fits(len(out), limit)
-        return out
-    if isinstance(g, And):
-        left, right = _dnf(g.left, limit), _dnf(g.right, limit)
-        _fits(len(left) * len(right), limit)
-        return _once(tuple(dict.fromkeys(a + b)) for a in left for b in right)
-    return [(g,)]
 
 
 def _once(disjuncts) -> list[tuple[Formula, ...]]:
@@ -241,29 +218,65 @@ def _fits(disjuncts: int, limit: int) -> None:
         raise ResourceCeilingError(disjuncts, limit, "normal form disjuncts")
 
 
-def _separate(g: Formula, limit: int) -> Formula:
-    """Rewrite an NNF monadic formula so every quantifier scope is a closed
-    single-variable cell conjunction.  Uses nonemptiness: exists y. true
-    is true.  No disjunctive form built on the way exceeds `limit`
-    disjuncts (ResourceCeilingError)."""
-    if isinstance(g, And):
-        return And(_separate(g.left, limit), _separate(g.right, limit))
-    if isinstance(g, Or):
-        return Or(_separate(g.left, limit), _separate(g.right, limit))
-    if isinstance(g, Exists):
-        body = _separate(g.body, limit)
-        parts = []
-        for lits in _dnf(body, limit):
-            alpha = [l for l in lits if g.var in free_vars(l)]
-            beta = [l for l in lits if g.var not in free_vars(l)]
-            if alpha:
-                beta.append(Exists(g.var, big_and(alpha)))
-            parts.append(big_and(beta))
-        return big_or(parts)
-    if isinstance(g, Forall):
-        flipped = _separate(Exists(g.var, nnf(Not(g.body))), limit)
-        return _neg_units(flipped)
-    return g
+class _Separator:
+    """The separated and disjunctive forms of the nodes of one normal form's
+    input, each distinct node rewritten once.  No disjunctive form built on
+    the way exceeds `limit` disjuncts (ResourceCeilingError).
+
+    The memos are keyed by id and hold the node they key: `separate` builds
+    nodes that nothing else keeps, whose ids would otherwise be reused.
+    """
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.separated: dict[int, tuple[Formula, Formula]] = {}
+        self.disjuncts: dict[int, tuple[Formula, list[tuple[Formula, ...]]]] = {}
+
+    def dnf(self, g: Formula) -> list[tuple[Formula, ...]]:
+        """The disjuncts of g, each a tuple of its conjuncts in order of
+        first occurrence, each conjunct once, and each set of conjuncts
+        once."""
+        if id(g) in self.disjuncts:
+            return self.disjuncts[id(g)][1]
+        if isinstance(g, Verum):
+            out: list[tuple[Formula, ...]] = [()]
+        elif isinstance(g, Falsum):
+            out = []
+        elif isinstance(g, Or):
+            out = _once(self.dnf(g.left) + self.dnf(g.right))
+            _fits(len(out), self.limit)
+        elif isinstance(g, And):
+            left, right = self.dnf(g.left), self.dnf(g.right)
+            _fits(len(left) * len(right), self.limit)
+            out = _once(tuple(dict.fromkeys(a + b)) for a in left for b in right)
+        else:
+            out = [(g,)]
+        self.disjuncts[id(g)] = g, out
+        return out
+
+    def separate(self, g: Formula) -> Formula:
+        """Rewrite an NNF monadic formula so every quantifier scope is a
+        closed single-variable cell conjunction.  Uses nonemptiness: exists
+        y. true is true."""
+        if id(g) in self.separated:
+            return self.separated[id(g)][1]
+        if isinstance(g, (And, Or)):
+            out = type(g)(self.separate(g.left), self.separate(g.right))
+        elif isinstance(g, Exists):
+            parts = []
+            for lits in self.dnf(self.separate(g.body)):
+                alpha = [l for l in lits if g.var in free_vars(l)]
+                beta = [l for l in lits if g.var not in free_vars(l)]
+                if alpha:
+                    beta.append(Exists(g.var, big_and(alpha)))
+                parts.append(big_and(beta))
+            out = big_or(parts)
+        elif isinstance(g, Forall):
+            out = _neg_units(self.separate(Exists(g.var, nnf(Not(g.body)))))
+        else:
+            out = g
+        self.separated[id(g)] = g, out
+        return out
 
 
 def monadic_normal_form(
@@ -297,9 +310,9 @@ def monadic_normal_form(
     order = {name: i for i, (name, _) in enumerate(sig.predicates)}
     f = rename_apart(f, frozenset(sig.names()) | {var})
     limit = DEFAULT_CEILING if ceiling is None else ceiling
-    sep = _separate(nnf(f), limit)
+    separator = _Separator(limit)
     merged: dict[tuple[tuple[str, bool], ...], list[Formula]] = {}
-    for lits in _dnf(sep, limit):
+    for lits in separator.dnf(separator.separate(nnf(f))):
         marks: dict[str, bool] = {}
         residue_parts: list[Formula] = []
         contradictory = False

@@ -12,7 +12,10 @@ Grammar sketch (comments run from `#` to end of line):
     assert   := "assert" formula ";"
 
 Formula connectives, loosest first: `<->`, `->`, `|`, `&`, `!`; the two
-arrows associate to the right.  `forall x.` / `exists y.` bind as far right
+arrows associate to the right.  The binary connectives are read by
+precedence climbing over `syntax.CONNECTIVES`, and the keywords `forall`,
+`exists`, `true` and `false` come from `syntax.KEYWORD_OF`, the tables that
+`render` reads too.  `forall x.` / `exists y.` bind as far right
 as possible, so `!` and `&` written before a quantifier apply to its whole
 body.  Atoms: `true`, `false`, `P(t, ...)`, bare `P` for a 0-ary predicate,
 and `t = u` when the signature declares equality.  Parentheses, quantifier
@@ -65,22 +68,17 @@ from typing import Sequence
 from .defsys import ConstantDef, Definition, DefinitionSystem, PredicateDef, _define
 from .semantics import FiniteModel
 from .syntax import (
-    And,
+    CONNECTIVES,
+    KEYWORD_OF,
+    QUANTIFIERS,
     Const,
     Eq,
-    Exists,
-    Falsum,
-    Forall,
     Formula,
-    Iff,
-    Implies,
     Not,
-    Or,
     Pred,
     Signature,
     Term,
     Var,
-    Verum,
     fresh_name,
     rename_apart,
 )
@@ -102,11 +100,16 @@ class ParseError(ValueError):
         self.col = col
 
 
+# The formula syntax comes from the tables in `syntax`: the node class of
+# each keyword, and the binding power, node class and associativity of each
+# binary connective by its symbol.
+_KEYWORD_NODES = {word: cls for cls, word in KEYWORD_OF.items()}
+_BINARY = {s: (power, cls, right) for cls, (s, power, right) in CONNECTIVES.items()}
+_TIGHTEST = max(power for power, _, _ in _BINARY.values())
 KEYWORDS = frozenset(
-    "sig defsys model assert def defconst pred const equality universe "
-    "forall exists true false".split()
-)
-_PUNCT = frozenset("<-> -> := ( ) { } , ; . = ! & | /".split())
+    "sig defsys model assert def defconst pred const equality universe".split()
+).union(_KEYWORD_NODES)
+_PUNCT = frozenset(":= ( ) { } , ; . = ! /".split()).union(_BINARY)
 # The words that are neither a name, an integer nor a stray character.
 _MARKS = KEYWORDS | _PUNCT | {""}
 # One match per token: the blanks and comments before it, then the token,
@@ -119,10 +122,6 @@ _MARKS = KEYWORDS | _PUNCT | {""}
 _WORD = re.compile(
     r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*([(){},;.=!&|/]|\d+|\w+|<->|->|:=|.|\Z)"
 )
-# Binding power and node class of each binary connective, loosest first.
-# The two arrows associate to the right, and their right operand is one
-# nesting level deeper.
-_BINARY = {"<->": (1, Iff), "->": (2, Implies), "|": (3, Or), "&": (4, And)}
 
 
 def _error(message: str, text: str, at: int) -> ParseError:
@@ -466,19 +465,20 @@ class _Parser:
         left = self.unary(scope)
         op = _BINARY.get(words[self.i])
         while op is not None and op[0] >= floor:
-            power, cls = op
+            power, cls, right_assoc = op
             self.i += 1
             height = self.height
-            if power == 4:
-                right = self.unary(scope)
-            elif power == 3:
-                right = self.formula(scope, 4)
-            else:
+            if right_assoc:
+                # The right operand of an arrow is one nesting level deeper.
                 if self.depth >= MAX_NESTING:
                     raise self.too_nested()
                 self.depth += 1
                 right = self.formula(scope, power)
                 self.depth -= 1
+            elif power == _TIGHTEST:
+                right = self.unary(scope)
+            else:
+                right = self.formula(scope, power + 1)
             if height < self.height:
                 height = self.height
             if height >= MAX_DEPTH:
@@ -546,7 +546,8 @@ class _Parser:
                 raise self.too_deep()
             self.height += 1
             return self.build((Not, id(body)), Not, body)
-        if w == "forall" or w == "exists":
+        cls = _KEYWORD_NODES.get(w)
+        if cls in QUANTIFIERS:
             var_at = self.i
             var = self.name()
             if var in scope.bound:
@@ -564,13 +565,10 @@ class _Parser:
             if self.height >= MAX_DEPTH:
                 raise self.too_deep()
             self.height += 1
-            cls = Forall if w == "forall" else Exists
             return self.build((cls, var, id(body)), cls, var, body)
-        self.height = 0
-        if w == "true":
-            return self.build((Verum,), Verum)
-        if w == "false":
-            return self.build((Falsum,), Falsum)
+        if cls is not None:
+            self.height = 0
+            return self.build((cls,), cls)
         self.i = at
         raise self.expected("a formula")
 

@@ -754,6 +754,22 @@ def _first_true(a: np.ndarray, shape: tuple[int, ...]) -> list[int] | None:
     return [int(e) for e in np.unravel_index(first, shape)]
 
 
+def _truth_table(f: Formula, holders, extents, values, size: int) -> np.ndarray:
+    """The truth of f in one model on {0..size-1} for every assignment of
+    the holders, one axis per holder; a variable named twice takes its last
+    axis.  extents maps each predicate to a boolean array with one axis per
+    argument and a model axis of length 1, and values each constant to its
+    element."""
+    ndim = len(holders) + facts(f).depth + 1
+    ev = _Tensors(
+        extents, {c: np.full((1,) * ndim, v) for c, v in values.items()}, 1, size, ndim
+    )
+    scope = {v: i for i, v in enumerate(holders)}
+    truth = ev.truth(f, scope, len(holders), size ** len(holders))
+    truth = truth[(slice(None),) * len(holders) + (0,) * (ndim - len(holders))]
+    return np.broadcast_to(truth, (size,) * len(holders))
+
+
 class _Tensors:
     """Truth of formulas over a chunk of n models on {0..size-1}, as boolean
     arrays of ndim axes whose last axis is the model, so elementwise loops

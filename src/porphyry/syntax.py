@@ -6,6 +6,14 @@ A parsed formula shares its equal subtrees (see `parser`), and
 `rename_apart` keeps each node it does not change, so `is` never tells two
 occurrences of a subformula apart: walkers look at structure, not identity.
 
+The concrete syntax is declared once, in three tables: `CONNECTIVES` gives
+each binary connective's symbol, binding power and associativity,
+`KEYWORD_OF` the keyword of each quantifier and truth constant, and `DUALS`
+the dual of each under negation.  The parser, `render`, `nnf` and the
+monadic normal form read them.  `nnf` rewrites each distinct node once per
+polarity and shares the results, and `node_count` visits each distinct node
+once, so neither blows up on a chain of `<->`.
+
 One walk, `facts`, finds what a formula mentions: its predicates with
 their arities, constants, free variables, names, quantifier depth, use of
 equality and size.  `free_vars`, `predicates_of` and the other readers are
@@ -45,96 +53,74 @@ Term = Union[Var, Const]
 # ------------------------------------------------------------- formulas
 
 
-@dataclass(frozen=True)
-class Verum:
+class _Node:
+    """A formula node: its str is its text in the DSL."""
+
     def __str__(self) -> str:
         return render(self)
 
 
 @dataclass(frozen=True)
-class Falsum:
-    def __str__(self) -> str:
-        return render(self)
+class Verum(_Node):
+    """The formula `true`."""
 
 
 @dataclass(frozen=True)
-class Pred:
+class Falsum(_Node):
+    """The formula `false`."""
+
+
+@dataclass(frozen=True)
+class Pred(_Node):
     name: str
     args: tuple[Term, ...] = ()
 
-    def __str__(self) -> str:
-        return render(self)
-
 
 @dataclass(frozen=True)
-class Eq:
+class Eq(_Node):
     left: Term
     right: Term
 
-    def __str__(self) -> str:
-        return render(self)
-
 
 @dataclass(frozen=True)
-class Not:
+class Not(_Node):
     body: "Formula"
 
-    def __str__(self) -> str:
-        return render(self)
-
 
 @dataclass(frozen=True)
-class And:
+class And(_Node):
     left: "Formula"
     right: "Formula"
 
-    def __str__(self) -> str:
-        return render(self)
-
 
 @dataclass(frozen=True)
-class Or:
+class Or(_Node):
     left: "Formula"
     right: "Formula"
 
-    def __str__(self) -> str:
-        return render(self)
-
 
 @dataclass(frozen=True)
-class Implies:
+class Implies(_Node):
     left: "Formula"
     right: "Formula"
 
-    def __str__(self) -> str:
-        return render(self)
-
 
 @dataclass(frozen=True)
-class Iff:
+class Iff(_Node):
     left: "Formula"
     right: "Formula"
 
-    def __str__(self) -> str:
-        return render(self)
-
 
 @dataclass(frozen=True)
-class Forall:
+class Forall(_Node):
     var: str
     body: "Formula"
 
-    def __str__(self) -> str:
-        return render(self)
-
 
 @dataclass(frozen=True)
-class Exists:
+class Exists(_Node):
     var: str
     body: "Formula"
-
-    def __str__(self) -> str:
-        return render(self)
 
 
 Formula = Union[
@@ -143,6 +129,25 @@ Formula = Union[
 
 BINARY = (And, Or, Implies, Iff)
 QUANTIFIERS = (Forall, Exists)
+
+# The concrete syntax, declared once: the parser, `render`, `nnf` and the
+# monadic normal form read these tables.  Each binary connective has its
+# symbol, its binding power (loosest first) and whether it associates to the
+# right, as the two arrows do.  `!` binds tighter than all of them, and a
+# quantifier's body extends as far right as it can.
+CONNECTIVES = {
+    Iff: ("<->", 1, True),
+    Implies: ("->", 2, True),
+    Or: ("|", 3, False),
+    And: ("&", 4, False),
+}
+# The keyword of each quantifier and truth constant.
+KEYWORD_OF = {Forall: "forall", Exists: "exists", Verum: "true", Falsum: "false"}
+# The dual under negation: !(a & b) is !a | !b, !forall is exists !, and
+# !true is false.
+DUALS = {
+    And: Or, Or: And, Forall: Exists, Exists: Forall, Verum: Falsum, Falsum: Verum
+}
 
 
 # ------------------------------------------------------------ signature
@@ -412,53 +417,31 @@ def _rename_term(t: Term, env: dict[str, str]) -> Term:
 
 # ------------------------------------------------------------ rendering
 
-# Precedence: ! binds tightest, then & then | then -> then <->.
-# -> and <-> associate to the right; quantifier bodies extend maximally right.
-_PREC_IFF = 1
-_PREC_IMPLIES = 2
-_PREC_OR = 3
-_PREC_AND = 4
-_PREC_NOT = 5
-_PREC_ATOM = 6
-
 
 def render(f: Formula) -> str:
     return _render(f, 0)
 
 
 def _render(f: Formula, ctx: int) -> str:
-    if isinstance(f, Verum):
-        return "true"
-    if isinstance(f, Falsum):
-        return "false"
+    """f as DSL text, parenthesized when it binds looser than `ctx`: the
+    binding power its place asks for, 0 for a place that takes any formula."""
     if isinstance(f, Pred):
-        return f"{f.name}({', '.join(str(t) for t in f.args)})"
-    if isinstance(f, Eq):
-        return f"{f.left} = {f.right}"
+        return f"{f.name}({', '.join([t.name for t in f.args])})"
+    if isinstance(f, BINARY):
+        symbol, power, right_assoc = CONNECTIVES[type(f)]
+        left = _render(f.left, power + right_assoc)
+        s = f"{left} {symbol} {_render(f.right, power + 1 - right_assoc)}"
+        return f"({s})" if power < ctx else s
     if isinstance(f, Not):
-        return "!" + _render(f.body, _PREC_NOT)
-    if isinstance(f, And):
-        s = _render(f.left, _PREC_AND) + " & " + _render(f.right, _PREC_AND + 1)
-        return f"({s})" if _PREC_AND < ctx else s
-    if isinstance(f, Or):
-        s = _render(f.left, _PREC_OR) + " | " + _render(f.right, _PREC_OR + 1)
-        return f"({s})" if _PREC_OR < ctx else s
-    if isinstance(f, Implies):
-        s = (
-            _render(f.left, _PREC_IMPLIES + 1)
-            + " -> "
-            + _render(f.right, _PREC_IMPLIES)
-        )
-        return f"({s})" if _PREC_IMPLIES < ctx else s
-    if isinstance(f, Iff):
-        s = _render(f.left, _PREC_IFF + 1) + " <-> " + _render(f.right, _PREC_IFF)
-        return f"({s})" if _PREC_IFF < ctx else s
-    if isinstance(f, Forall):
-        s = f"forall {f.var}. " + _render(f.body, 0)
+        # Tighter than every binary connective.
+        return "!" + _render(f.body, len(CONNECTIVES) + 1)
+    if isinstance(f, QUANTIFIERS):
+        s = f"{KEYWORD_OF[type(f)]} {f.var}. " + _render(f.body, 0)
         return f"({s})" if ctx > 0 else s
-    if isinstance(f, Exists):
-        s = f"exists {f.var}. " + _render(f.body, 0)
-        return f"({s})" if ctx > 0 else s
+    if isinstance(f, Eq):
+        return f"{f.left.name} = {f.right.name}"
+    if isinstance(f, (Verum, Falsum)):
+        return KEYWORD_OF[type(f)]
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -502,52 +485,45 @@ def conjuncts(f: Formula) -> list[Formula]:
 
 
 def nnf(f: Formula) -> Formula:
-    """Negation normal form: no -> or <->, negation only on atoms."""
-    if isinstance(f, (Verum, Falsum, Pred, Eq)):
-        return f
-    if isinstance(f, Not):
-        return _neg(f.body)
-    if isinstance(f, And):
-        return And(nnf(f.left), nnf(f.right))
-    if isinstance(f, Or):
-        return Or(nnf(f.left), nnf(f.right))
-    if isinstance(f, Implies):
-        return Or(_neg(f.left), nnf(f.right))
-    if isinstance(f, Iff):
-        return And(
-            Or(_neg(f.left), nnf(f.right)), Or(_neg(f.right), nnf(f.left))
-        )
-    if isinstance(f, Forall):
-        return Forall(f.var, nnf(f.body))
-    if isinstance(f, Exists):
-        return Exists(f.var, nnf(f.body))
-    raise TypeError(f"not a formula: {f!r}")
+    """Negation normal form: no -> or <->, negation only on atoms.  Each
+    distinct node of f is rewritten once per polarity, and the results are
+    shared, so a chain of `<->` gives a form linear in its length."""
+    # One memo per polarity, by id, each entry holding the node it keys.
+    # Atoms are rewritten where they occur, without one.
+    memos: tuple[dict, dict] = ({}, {})
 
+    def walk(g: Formula, positive: bool) -> Formula:
+        """g under an even (positive) or odd number of negations."""
+        if isinstance(g, (Pred, Eq)):
+            return g if positive else Not(g)
+        memo = memos[positive]
+        if id(g) in memo:
+            return memo[id(g)][1]
+        # Its own class, or under a negation its dual, if it has one.
+        cls = type(g) if positive else DUALS.get(type(g))
+        if isinstance(g, Not):
+            out = walk(g.body, not positive)
+        elif isinstance(g, (And, Or)):
+            out = cls(walk(g.left, positive), walk(g.right, positive))
+        elif isinstance(g, Implies):
+            # !a | b, and a & !b under a negation.
+            cls = Or if positive else And
+            out = cls(walk(g.left, not positive), walk(g.right, positive))
+        elif isinstance(g, Iff):
+            # (!a | b) & (!b | a), and (a & !b) | (!a & b) under a negation.
+            a, na = walk(g.left, True), walk(g.left, False)
+            b, nb = walk(g.right, True), walk(g.right, False)
+            out = And(Or(na, b), Or(nb, a)) if positive else Or(And(a, nb), And(na, b))
+        elif isinstance(g, QUANTIFIERS):
+            out = cls(g.var, walk(g.body, positive))
+        elif isinstance(g, (Verum, Falsum)):
+            out = g if positive else cls()
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+        memo[id(g)] = g, out
+        return out
 
-def _neg(f: Formula) -> Formula:
-    if isinstance(f, Verum):
-        return Falsum()
-    if isinstance(f, Falsum):
-        return Verum()
-    if isinstance(f, (Pred, Eq)):
-        return Not(f)
-    if isinstance(f, Not):
-        return nnf(f.body)
-    if isinstance(f, And):
-        return Or(_neg(f.left), _neg(f.right))
-    if isinstance(f, Or):
-        return And(_neg(f.left), _neg(f.right))
-    if isinstance(f, Implies):
-        return And(nnf(f.left), _neg(f.right))
-    if isinstance(f, Iff):
-        return Or(
-            And(nnf(f.left), _neg(f.right)), And(_neg(f.left), nnf(f.right))
-        )
-    if isinstance(f, Forall):
-        return Exists(f.var, _neg(f.body))
-    if isinstance(f, Exists):
-        return Forall(f.var, _neg(f.body))
-    raise TypeError(f"not a formula: {f!r}")
+    return walk(f, True)
 
 
 def quantifier_depth(f: Formula) -> int:
@@ -556,5 +532,27 @@ def quantifier_depth(f: Formula) -> int:
 
 
 def node_count(f: Formula) -> int:
-    """Number of formula nodes; term nodes are not counted."""
-    return facts(f).nodes
+    """Number of formula nodes of f as a tree; term nodes are not counted.
+    The walk keeps an explicit stack and visits each distinct node once, so
+    a form that shares its subtrees, as nnf's does, is counted in time
+    linear in its distinct nodes.  TypeError on a non-formula."""
+    # By id, holding the node it keys: the tree size of each node counted.
+    sizes: dict[int, tuple[Formula, int]] = {}
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        if isinstance(g, BINARY):
+            parts: tuple[Formula, ...] = (g.left, g.right)
+        elif isinstance(g, (Not, Forall, Exists)):
+            parts = (g.body,)
+        elif isinstance(g, (Pred, Eq, Verum, Falsum)):
+            parts = ()
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+        todo = [p for p in parts if id(p) not in sizes]
+        if todo:
+            stack += todo
+        else:
+            stack.pop()
+            sizes[id(g)] = g, 1 + sum(sizes[id(p)][1] for p in parts)
+    return sizes[id(f)][1]

@@ -421,14 +421,15 @@ def child_env():
     return env
 
 
-def run_child(*args):
-    """Run python with the given arguments and porphyry importable."""
+def run_child(*args, timeout=120):
+    """Run python with the given arguments and porphyry importable;
+    subprocess.TimeoutExpired past `timeout` seconds."""
     r = subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
         env=child_env(),
-        timeout=120,
+        timeout=timeout,
     )
     return r.returncode, r.stdout, r.stderr
 
@@ -440,6 +441,44 @@ def test_python_dash_m_runs_the_cli():
         assert (code, out.splitlines()[0]) == (cli.EXIT_OK, "satisfiable: yes")
         code, out, _ = run_child("-m", module, "sat", "--formula", "M(x) & !M(x)", *sig)
         assert (code, out) == (cli.EXIT_FOUND, "satisfiable: no\n")
+
+
+# The proximate genus of S, whose body is G(x) and a chain of `<->`: an even
+# chain is valid, so G(x) alone recovers S, and an odd one is M(x), so the
+# difference is the whole chain, whose cost is the tree size of its negation
+# normal form.
+PROXIMATE_CHAIN = """
+import sys
+from porphyry import parse, proximate_genus
+for n in map(int, sys.argv[1:]):
+    chain = " <-> ".join(["M(x)"] * n)
+    sig = "sig { pred M/1; pred G/1; }"
+    d = parse(sig + f" defsys {{ def S(x) := G(x) & ({chain}); }}")
+    r = proximate_genus("S", ["G"], d.system)
+    print(n, r.chosen, r.scores[0].score)
+"""
+
+
+def test_nested_iff_chains_answer_at_once():
+    # As a tree, the negation normal form of a chain of n `<->` has about
+    # 2^n nodes; the normal form and the proximate genus must not build or
+    # walk it.  Each child gets 20 s, where one answers in well under 1 s.
+    chain = " <-> ".join(["M(x)"] * 40)
+    outs = [
+        run_child(
+            "-m", "porphyry", "normalize", "--formula", f, "--sig", "pred M/1;",
+            timeout=20,
+        )
+        for f in (" <-> ".join(["M(x)"] * 12), chain)
+    ]
+    assert outs[0] == outs[1] == (cli.EXIT_OK, "!M(x) | M(x)\npure: yes\n", "")
+    code, out, err = run_child("-c", PROXIMATE_CHAIN, "40", "41", timeout=20)
+    assert (code, err) == (0, "")
+    # s(n) = 6 + 2 s(n - 1) nodes for a chain of n >= 2 atoms, s(2) = 9.
+    size = 9
+    for _ in range(41 - 2):
+        size = 6 + 2 * size
+    assert out.splitlines() == ["40 G 1", f"41 G {size}"]
 
 
 def test_closed_stdout_exits_2_without_a_traceback():

@@ -144,13 +144,6 @@ def test_reconstruct_rejects_non_unary_base():
         reconstruct(fam)
 
 
-def test_reconstruct_carrier_mismatch():
-    fam = ExtensionFamily(SIG, GRID, (("A", frozenset({0})),))
-    other = FiniteModel(3, {}, {"M1": frozenset(), "M2": frozenset()})
-    with pytest.raises(ValueError):
-        reconstruct(fam, other)
-
-
 def test_reconstruct_sanitizes_clashing_names():
     m = FiniteModel(4, {}, {"M1": frozenset({(0,), (1,)}), "M2": frozenset()})
     fam = ExtensionFamily(

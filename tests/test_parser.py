@@ -92,6 +92,19 @@ def test_precedence_and_associativity():
     assert parse_formula("M1(x) <-> M2(x) <-> M1(x)", SIG) == Iff(
         P("M1", "x"), Iff(P("M2", "x"), P("M1", "x"))
     )
+    # Every ordered pair of connectives, loosest first: unparenthesized, the
+    # tighter one groups first, and of two equal ones `&` and `|` group to
+    # the left and the arrows to the right.
+    ops = [("<->", Iff), ("->", Implies), ("|", Or), ("&", And)]
+    a, b, c = P("M1", "x"), P("M2", "x"), P("M1", "y")
+    for power, (sym, op) in enumerate(ops):
+        for power2, (sym2, op2) in enumerate(ops):
+            left, right = op2(op(a, b), c), op(a, op2(b, c))
+            text = f"M1(x) {sym} M2(x) {sym2} M1(y)"
+            first = power > power2 or (power == power2 and sym not in ("->", "<->"))
+            assert parse_formula(text, SIG) == (left if first else right), text
+            assert parse_formula(f"(M1(x) {sym} M2(x)) {sym2} M1(y)", SIG) == left
+            assert parse_formula(f"M1(x) {sym} (M2(x) {sym2} M1(y))", SIG) == right
 
 
 def test_quantifier_scope_maximal():

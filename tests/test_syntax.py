@@ -30,6 +30,7 @@ from porphyry import (
     rename_apart,
     subst,
 )
+from porphyry.parser import parse_formula
 from porphyry.syntax import Facts, conjuncts, facts
 
 VARS = ("x", "y", "z")
@@ -94,6 +95,28 @@ def test_signature_basics():
         Signature((("M1", 1), ("M1", 2)), (), False)
 
 
+# Each ordered pair of binary connectives, rendered as (a op b) op' c and as
+# a op (b op' c).
+PAIR_TEXTS = {
+    (And, And): ("M1(x) & M2(x) & M1(y)", "M1(x) & (M2(x) & M1(y))"),
+    (And, Or): ("M1(x) & M2(x) | M1(y)", "M1(x) & (M2(x) | M1(y))"),
+    (And, Implies): ("M1(x) & M2(x) -> M1(y)", "M1(x) & (M2(x) -> M1(y))"),
+    (And, Iff): ("M1(x) & M2(x) <-> M1(y)", "M1(x) & (M2(x) <-> M1(y))"),
+    (Or, And): ("(M1(x) | M2(x)) & M1(y)", "M1(x) | M2(x) & M1(y)"),
+    (Or, Or): ("M1(x) | M2(x) | M1(y)", "M1(x) | (M2(x) | M1(y))"),
+    (Or, Implies): ("M1(x) | M2(x) -> M1(y)", "M1(x) | (M2(x) -> M1(y))"),
+    (Or, Iff): ("M1(x) | M2(x) <-> M1(y)", "M1(x) | (M2(x) <-> M1(y))"),
+    (Implies, And): ("(M1(x) -> M2(x)) & M1(y)", "M1(x) -> M2(x) & M1(y)"),
+    (Implies, Or): ("(M1(x) -> M2(x)) | M1(y)", "M1(x) -> M2(x) | M1(y)"),
+    (Implies, Implies): ("(M1(x) -> M2(x)) -> M1(y)", "M1(x) -> M2(x) -> M1(y)"),
+    (Implies, Iff): ("M1(x) -> M2(x) <-> M1(y)", "M1(x) -> (M2(x) <-> M1(y))"),
+    (Iff, And): ("(M1(x) <-> M2(x)) & M1(y)", "M1(x) <-> M2(x) & M1(y)"),
+    (Iff, Or): ("(M1(x) <-> M2(x)) | M1(y)", "M1(x) <-> M2(x) | M1(y)"),
+    (Iff, Implies): ("(M1(x) <-> M2(x)) -> M1(y)", "M1(x) <-> M2(x) -> M1(y)"),
+    (Iff, Iff): ("(M1(x) <-> M2(x)) <-> M1(y)", "M1(x) <-> M2(x) <-> M1(y)"),
+}
+
+
 def test_render_precedence():
     assert render(Implies(P("M1", "x"), Implies(P("M2", "x"), P("M1", "x")))) == (
         "M1(x) -> M2(x) -> M1(x)"
@@ -111,6 +134,13 @@ def test_render_precedence():
         "forall x. M1(x) -> (exists y. M2(y))"
     )
     assert render(Pred("p", ())) == "p()"
+    sig = Signature((("M1", 1), ("M2", 1)), (), False)
+    a, b, c = P("M1", "x"), P("M2", "x"), P("M1", "y")
+    assert len(PAIR_TEXTS) == 16
+    for (op, op2), (left_text, right_text) in PAIR_TEXTS.items():
+        for f, text in ((op2(op(a, b), c), left_text), (op(a, op2(b, c)), right_text)):
+            assert render(f) == text
+            assert parse_formula(text, sig) == f
 
 
 def test_big_connectives():
@@ -385,6 +415,52 @@ def test_nnf_examples():
         Not(P("M1", "x")), P("M2", "x")
     )
     assert nnf(Not(Exists("x", P("M1", "x")))) == Forall("x", Not(P("M1", "x")))
+    # The negation of every node kind.
+    a, b = P("M1", "x"), P("M2", "x")
+    eq = Eq(Var("x"), Const("c"))
+    cases = [
+        (Verum(), Falsum()),
+        (Falsum(), Verum()),
+        (a, Not(a)),
+        (eq, Not(eq)),
+        (Not(a), a),
+        (And(a, b), Or(Not(a), Not(b))),
+        (Or(a, b), And(Not(a), Not(b))),
+        (Implies(a, b), And(a, Not(b))),
+        # The normal forms depend on this order of disjuncts and conjuncts.
+        (Iff(a, b), Or(And(a, Not(b)), And(Not(a), b))),
+        (Forall("x", a), Exists("x", Not(a))),
+        (Exists("x", a), Forall("x", Not(a))),
+    ]
+    for f, negated in cases:
+        assert nnf(Not(f)) == negated
+    assert nnf(Iff(a, b)) == And(Or(Not(a), b), Or(Not(b), a))
+    assert nnf(Not(Not(Iff(a, b)))) == nnf(Iff(a, b))
+
+
+def test_nnf_shares_each_rewritten_node():
+    # A chain of n `<->` has a negation normal form of about 2^n nodes as a
+    # tree, but one node per distinct subformula and polarity when shared.
+    f = P("M1", "x")
+    for _ in range(15):
+        f = Iff(P("M1", "x"), f)
+    g = nnf(f)
+    seen, stack = set(), [g]
+    while stack:
+        h = stack.pop()
+        if id(h) not in seen:
+            seen.add(id(h))
+            stack += [getattr(h, k) for k in ("left", "right", "body") if hasattr(h, k)]
+    assert len(seen) < 10 * 16
+    # The tree size, by the rewrite: the positive and the negative form of
+    # a chain of n >= 2 atoms both have s(n) = 6 + 2 s(n - 1) nodes, and
+    # s(2) = 6 + 1 + 2, the atom's two forms having 1 and 2.
+    size = 6 + 1 + 2
+    for _ in range(14):
+        size = 6 + 2 * size
+    assert node_count(g) == size
+    short = Iff(P("M1", "x"), Iff(P("M1", "x"), Iff(P("M1", "x"), P("M1", "x"))))
+    assert node_count(nnf(short)) == facts(nnf(short)).nodes == 6 + 2 * (6 + 2 * 9)
 
 
 def test_subst_capture_avoiding():
