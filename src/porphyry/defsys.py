@@ -29,6 +29,14 @@ wins over a definition, and the first definition over later ones.
 `validate`, the parser's name resolution and the class checks of
 `predicabilia` all read it.
 
+Entries are frozen, slotted dataclasses, as the formula nodes are, so a
+parsed system of a thousand definitions holds no `__dict__` per entry or
+node.  The parser builds each distinct subformula of a system once, through
+a node table whose keys are tuples of a class's name, names and ids of
+children: they hold no class object, so the garbage collector untracks
+them, and a long system leaves only its nodes for a full collection to
+walk.
+
 Well-formedness is a property of the system, not of each question asked
 of it, so each public call validates its system once: `unfold` is
 `_require_valid` and then `_unfold`, and callers that unfold several
@@ -74,7 +82,7 @@ VIOLATION_KINDS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PredicateDef:
     name: str
     params: tuple[str, ...]
@@ -88,7 +96,7 @@ class PredicateDef:
         return f"def {self.name}({', '.join(self.params)}) := {render(self.body)};"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstantDef:
     name: str
     var: str

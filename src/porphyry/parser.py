@@ -42,7 +42,13 @@ builds, down to each Var and Const, goes through a table that lives exactly
 as long as the parse and hands back the node already built for an equal
 key, so a parsed file holds one node per distinct subtree.  Nodes are
 frozen and compare structurally, so only the number of objects changes;
-two parses of one text share no node.
+two parses of one text share no node.  A key is a tuple of the node's class
+name, its names and the ids of its children.  It holds no class object: a
+class is tracked by the garbage collector, and so is every tuple that holds
+one, while a tuple of strings and ints is untracked at the first
+collection that sees it.  So the keys of a long parse are not traversed
+again, nor promoted to the old generation for every full collection to
+walk.
 
 Names resolve through the system's symbol table (`DefinitionSystem.symbols`),
 which a defsys block extends entry by entry.  Definition bodies may mention
@@ -114,13 +120,17 @@ _PUNCT = frozenset(":= ( ) { } , ; . = ! /".split()).union(_BINARY)
 _MARKS = KEYWORDS | _PUNCT | {""}
 # One match per token: the blanks and comments before it, then the token,
 # the only group, so findall gives the words alone; the empty word is the
-# end of the text.  \d is the Unicode decimal digits, which int() reads,
-# and comes before \w, so `1²` is 1 and then `²`; \w is any character
-# where str.isalnum() holds, or `_`.  The `.` branch takes every other
-# character (a newline is always a blank).  It and a `\w+` word that
-# starts with neither a letter, `_` nor a decimal digit are stray.
+# end of the text.  The marks of _PUNCT come first, longer before shorter,
+# so no mark is read as its prefix.  \d is the Unicode decimal digits,
+# which int() reads, and comes before \w, so `1²` is 1 and then `²`; \w is
+# any character where str.isalnum() holds, or `_`.  The `.` branch takes
+# every other character (a newline is always a blank).  It and a `\w+`
+# word that starts with neither a letter, `_` nor a decimal digit are
+# stray.
 _WORD = re.compile(
-    r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*([(){},;.=!&|/]|\d+|\w+|<->|->|:=|.|\Z)"
+    r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*("
+    + "|".join(re.escape(m) for m in sorted(_PUNCT, key=lambda m: (-len(m), m)))
+    + r"|\d+|\w+|.|\Z)"
 )
 
 
@@ -184,9 +194,10 @@ class _Parser:
 
     def build(self, key: tuple, cls: type, *fields: object) -> Formula | Term:
         """The node cls(*fields) of this parse, built only if no node has
-        `key` yet.  A key is the class, then each name by value and each
-        child node by id: the table keeps every node it keys alive, so
-        equal keys are equal nodes."""
+        `key` yet.  A key is the class's name, then each name by value and
+        each child node by id: the table keeps every node it keys alive, so
+        equal keys are equal nodes.  No key holds a class object, so the
+        garbage collector untracks every key (see the module docstring)."""
         node = self.nodes.get(key)
         if node is None:
             node = self.nodes[key] = cls(*fields)
@@ -360,9 +371,9 @@ class _Parser:
                 scope.check_constant(rhs, at, self)
                 self.expect(";")
                 var = fresh_name("y", sig.names() | {name, rhs})
-                left = self.build((Var, var), Var, var)
-                right = self.build((Const, rhs), Const, rhs)
-                body = self.build((Eq, id(left), id(right)), Eq, left, right)
+                left = self.build(("Var", var), Var, var)
+                right = self.build(("Const", rhs), Const, rhs)
+                body = self.build(("Eq", id(left), id(right)), Eq, left, right)
                 entry = ConstantDef(name, var, body)
             else:
                 raise self.fail("expected 'def' or 'defconst'")
@@ -484,7 +495,7 @@ class _Parser:
             if height >= MAX_DEPTH:
                 raise self.too_deep()
             self.height = height + 1
-            left = self.build((cls, id(left), id(right)), cls, left, right)
+            left = self.build((cls.__name__, id(left), id(right)), cls, left, right)
             op = _BINARY.get(words[self.i])
         return left
 
@@ -499,7 +510,7 @@ class _Parser:
             if w2 == "(":
                 i = at + 2
                 args: list[Term] = []
-                key: list[object] = [Pred, w]
+                key: list[str | int] = ["Pred", w]
                 if words[i] != ")":
                     names = self.names
                     while True:
@@ -529,7 +540,7 @@ class _Parser:
                 right = scope.resolve_term(t, self.i, self)
                 self.i += 1
                 scope.check_equality(at, self)
-                return self.build((Eq, id(left), id(right)), Eq, left, right)
+                return self.build(("Eq", id(left), id(right)), Eq, left, right)
             return scope.bare_name(w, at, self)
         if w == "(" or w == "!":
             if self.depth >= MAX_NESTING:
@@ -545,7 +556,7 @@ class _Parser:
             if self.height >= MAX_DEPTH:
                 raise self.too_deep()
             self.height += 1
-            return self.build((Not, id(body)), Not, body)
+            return self.build(("Not", id(body)), Not, body)
         cls = _KEYWORD_NODES.get(w)
         if cls in QUANTIFIERS:
             var_at = self.i
@@ -565,10 +576,10 @@ class _Parser:
             if self.height >= MAX_DEPTH:
                 raise self.too_deep()
             self.height += 1
-            return self.build((cls, var, id(body)), cls, var, body)
+            return self.build((cls.__name__, var, id(body)), cls, var, body)
         if cls is not None:
             self.height = 0
-            return self.build((cls,), cls)
+            return self.build((cls.__name__,), cls)
         self.i = at
         raise self.expected("a formula")
 
@@ -613,10 +624,10 @@ class _Scope:
 
     def resolve_term(self, name: str, at: int, p: _Parser) -> Term:
         if name in self.bound or name not in self.symbols:
-            return p.build((Var, name), Var, name)
+            return p.build(("Var", name), Var, name)
         if self.symbols[name][1] is not None:
             raise p.fail(f"predicate {name} used as a term", at)
-        return p.build((Const, name), Const, name)
+        return p.build(("Const", name), Const, name)
 
     def check_application(self, name: str, at: int, arity: int, p: _Parser) -> None:
         if not self.strict:
@@ -637,7 +648,7 @@ class _Scope:
     def bare_name(self, name: str, at: int, p: _Parser) -> Formula:
         declared = self.arity(name)
         if declared == 0:
-            return p.build((Pred, name), Pred, name, ())
+            return p.build(("Pred", name), Pred, name, ())
         if self.strict:
             if declared is not None:
                 raise p.fail(
@@ -646,7 +657,7 @@ class _Scope:
             raise p.fail(f"unknown predicate {name}", at)
         if name in self.bound or (declared is None and name in self.symbols):
             raise p.fail(f"{name} is a term, not a formula", at)
-        return p.build((Pred, name), Pred, name, ())
+        return p.build(("Pred", name), Pred, name, ())
 
 
 def parse(text: str) -> ParsedFile:
@@ -703,11 +714,11 @@ def parse_formulas_infer(
 
         def resolve_term(self, name: str, at: int, p: _Parser) -> Term:
             if name in self.bound:
-                return p.build((Var, name), Var, name)
+                return p.build(("Var", name), Var, name)
             if name in preds:
                 raise p.fail(f"{name} used both as predicate and term", at)
             consts.setdefault(name, None)
-            return p.build((Const, name), Const, name)
+            return p.build(("Const", name), Const, name)
 
         def check_application(
             self, name: str, at: int, arity: int, p: _Parser
@@ -728,7 +739,7 @@ def parse_formulas_infer(
             if name in consts:
                 raise p.fail(f"{name} used both as predicate and term", at)
             self.check_application(name, at, 0, p)
-            return p.build((Pred, name), Pred, name, ())
+            return p.build(("Pred", name), Pred, name, ())
 
     raw = [_whole_formula(_Parser(text), _InferScope()) for text in texts]
     sig = Signature(

@@ -119,8 +119,11 @@ class ResourceCeilingError(Exception):
     """Raised when an enumeration would exceed the configured ceiling.
 
     `what` names what was counted: "interpretations" (the bounded engine),
-    "supports" (the exact engine), "normal form disjuncts" or
-    "sub-conjunctions" (proximate_genus).  `needed` is the exact count
+    "supports" (the exact engine), "normal form disjuncts",
+    "sub-conjunctions" (proximate_genus) or "array axes" (either engine, or
+    the expansion of a model, on a formula whose arrays would need more
+    axes than numpy allows: one per holder and per level of quantifier
+    nesting, and one for the model).  `needed` is the exact count
     asked for, or None when that count has more than 2^16 bits: it is then
     at least 2^65536, and is never built.  Counts of 2^64 or more are
     printed as powers of two.
@@ -136,6 +139,23 @@ class ResourceCeilingError(Exception):
         super().__init__(
             f"enumeration needs {wanted} {what}, ceiling is {_count(ceiling)}"
         )
+
+
+@lru_cache(maxsize=None)
+def _max_axes() -> int:
+    """The most axes numpy lets an array have: 64 in numpy 2, 32 in numpy
+    1.x.  Found by trying, on first use, so that importing costs nothing."""
+    try:
+        np.empty((1,) * 64, dtype=bool)
+    except ValueError:
+        return 32
+    return 64
+
+
+def _check_axes(ndim: int) -> None:
+    """ResourceCeilingError when arrays of ndim axes pass numpy's limit."""
+    if ndim > _max_axes():
+        raise ResourceCeilingError(ndim, _max_axes(), "array axes")
 
 
 def _count(n: int) -> str:
@@ -658,6 +678,7 @@ def _scan(rows, queries, chunks, size, frees, consts, depth, extent_cells):
     cells = max(spread * max(size**depth, width), extent_cells)
     step = 1 if fixed else max(1, _CHUNK_CELLS // cells)
     ndim = holders + depth + 1
+    _check_axes(ndim)
     held = {
         c: np.arange(size).reshape((1,) * i + (size,) + (1,) * (ndim - i - 1))
         for i, c in enumerate(consts, len(frees))
@@ -761,6 +782,7 @@ def _truth_table(f: Formula, holders, extents, values, size: int) -> np.ndarray:
     argument and a model axis of length 1, and values each constant to its
     element."""
     ndim = len(holders) + facts(f).depth + 1
+    _check_axes(ndim)
     ev = _Tensors(
         extents, {c: np.full((1,) * ndim, v) for c, v in values.items()}, 1, size, ndim
     )

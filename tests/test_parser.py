@@ -1,3 +1,4 @@
+import gc
 import random
 import sys
 
@@ -32,7 +33,8 @@ from porphyry import (
     render,
     validate,
 )
-from porphyry.parser import KEYWORDS
+from porphyry.parser import _PUNCT, KEYWORDS, _Parser, _words
+from porphyry.syntax import CONNECTIVES, KEYWORD_OF
 
 SIG = Signature((("M1", 1), ("M2", 1)), ("c",), False)
 
@@ -458,6 +460,34 @@ def test_a_parse_builds_each_distinct_subtree_once():
         again = _nodes(e.body for e in second.system.entries)
         assert again == nodes
         assert {id(g) for g in nodes}.isdisjoint(map(id, again))
+
+
+def test_node_table_keys_are_untracked():
+    # A key holds the class's name, names and ids, never the class, so one
+    # collection untracks every key of a parse's node table.
+    text = _chain(200, random.Random(28)).replace(
+        "pred R/2; }", "pred R/2; const c; equality; }"
+    )
+    p = _Parser(
+        text
+        + "\ndefsys { defconst k := c; def T() := !true | false <-> true; }"
+        + "\nassert forall x. x = c -> Q0(c);"
+    )
+    p.parse_file()
+    # Every node class has keys: Var, Const, Pred, Eq, Not and the tables'.
+    kinds = {key[0] for key in p.nodes}
+    assert len(kinds) == 5 + len(KEYWORD_OF) + len(CONNECTIVES)
+    gc.collect()
+    assert not any(gc.is_tracked(key) for key in p.nodes)
+
+
+def test_each_mark_is_one_word():
+    # The tokenizer reads its marks from the syntax tables.
+    marks = {symbol for symbol, _, _ in CONNECTIVES.values()} | _PUNCT
+    assert marks >= {"<->", "->", "|", "&", ":=", "!"}
+    for mark in marks:
+        assert _words(mark) == ([mark, ""], set())
+        assert _words(f"a{mark}b") == (["a", mark, "b", ""], {"a", "b"})
 
 
 def test_parse_formulas_infer():

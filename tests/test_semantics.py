@@ -43,6 +43,7 @@ from porphyry import (
     default_bound,
     enumerate_models,
     evaluate,
+    expand_model,
     free_vars,
     monadic_normal_form,
     proximate_genus,
@@ -157,6 +158,30 @@ def test_ceiling_past_the_digit_limit():
     assert str(ResourceCeilingError(3 << 64, 1 << 70)) == (
         "enumeration needs more than 2^65 interpretations, ceiling is 2^70"
     )
+
+
+def test_ceiling_on_array_axes():
+    # Each level of quantifier nesting is one more array axis, past numpy's
+    # limit (64 axes in numpy 2, 32 in numpy 1.x) at 70 levels: both
+    # engines and the expansion of a model say so before building any.
+    def nested(atom):
+        for i in reversed(range(70)):
+            atom = Forall(f"x{i}", atom)
+        return atom
+
+    unary = nested(Pred("M1", (Var("x0"),)))
+    binary = nested(Pred("R", (Var("x0"), Var("x69"))))
+    d = DefinitionSystem(SIG2, (PredicateDef("D", (), unary),))
+    m = FiniteModel(1, {}, {"M1": frozenset(), "M2": frozenset()})
+    for call in (
+        lambda: decide_sat(unary, SIG2),
+        lambda: bounded_entails(SIGR, [], binary, 1),
+        lambda: expand_model(d, m),
+    ):
+        with pytest.raises(ResourceCeilingError) as exc:
+            call()
+        assert exc.value.what == "array axes"
+        assert exc.value.needed == 71 and exc.value.ceiling in (32, 64)
 
 
 def test_enumerate_past_int64():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import hypothesis.strategies as st
@@ -8,6 +9,7 @@ from helpers import all_models, naive_eval, occurring, random_formula
 from porphyry import (
     And,
     Const,
+    ConstantDef,
     Eq,
     Exists,
     Falsum,
@@ -17,6 +19,7 @@ from porphyry import (
     Not,
     Or,
     Pred,
+    PredicateDef,
     Signature,
     Var,
     Verum,
@@ -115,6 +118,43 @@ PAIR_TEXTS = {
     (Iff, Implies): ("(M1(x) <-> M2(x)) -> M1(y)", "M1(x) <-> M2(x) -> M1(y)"),
     (Iff, Iff): ("(M1(x) <-> M2(x)) <-> M1(y)", "M1(x) <-> M2(x) <-> M1(y)"),
 }
+
+
+def test_nodes_are_slotted_frozen_dataclasses():
+    # Terms, formula nodes and definitions keep their fields in slots, with
+    # no __dict__, and stay frozen dataclasses hashed by their fields.
+    x, c = Var("x"), Const("c")
+    made = [
+        x,
+        c,
+        Verum(),
+        Falsum(),
+        P("M1", "x"),
+        Eq(x, c),
+        Not(Verum()),
+        *(cls(Verum(), Falsum()) for cls in (And, Or, Implies, Iff)),
+        Forall("x", Verum()),
+        Exists("x", Verum()),
+        PredicateDef("D", ("x",), P("M1", "x")),
+        ConstantDef("k", "y", Eq(Var("y"), c)),
+    ]
+    assert len({type(g) for g in made}) == len(made)
+    for g in made:
+        assert not hasattr(g, "__dict__")
+        assert dataclasses.is_dataclass(g)
+        for f in dataclasses.fields(g):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(g, f.name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(g, f.name)
+    rng = random.Random(28)
+    for _ in range(200):
+        f = random_formula(rng, PREDS, scope=["x"], max_q=3, consts=("c",))
+        for g in _subformulas_reference(f):
+            for h in [g, *(g.args if isinstance(g, Pred) else ())]:
+                assert not hasattr(h, "__dict__")
+                fields = tuple(getattr(h, k.name) for k in dataclasses.fields(h))
+                assert hash(h) == hash(fields)
 
 
 def test_render_precedence():
