@@ -31,11 +31,13 @@ wins over a definition, and the first definition over later ones.
 
 Entries are frozen, slotted dataclasses, as the formula nodes are, so a
 parsed system of a thousand definitions holds no `__dict__` per entry or
-node.  The parser builds each distinct subformula of a system once, through
-a node table whose keys are tuples of a class's name, names and ids of
-children: they hold no class object, so the garbage collector untracks
-them, and a long system leaves only its nodes for a full collection to
-walk.
+node; like the nodes, an entry has a slot for weak references, from
+`syntax._Weak`.  The parser builds each distinct subformula and entry
+once for the whole process, through a node table that holds them weakly
+and whose keys are tuples of a class's name, names and ids of children:
+they hold no class object, so the garbage collector untracks them, and
+parses of one system, however many are kept, leave one set of nodes for
+a full collection to walk.
 
 Well-formedness is a property of the system, not of each question asked
 of it, so each public call validates its system once: `unfold` is
@@ -68,6 +70,7 @@ from .syntax import (
     Term,
     Var,
     Verum,
+    _Weak,
     conjuncts,
     facts,
     render,
@@ -83,7 +86,7 @@ VIOLATION_KINDS = (
 
 
 @dataclass(frozen=True, slots=True)
-class PredicateDef:
+class PredicateDef(_Weak):
     name: str
     params: tuple[str, ...]
     body: Formula
@@ -97,7 +100,7 @@ class PredicateDef:
 
 
 @dataclass(frozen=True, slots=True)
-class ConstantDef:
+class ConstantDef(_Weak):
     name: str
     var: str
     body: Formula

@@ -37,18 +37,29 @@ index of each word: a ParseError scans the text again to find the
 offset of its word, and from it the line and column (from 1, a tab
 counting as one column).
 
-Within one text, equal subformulas are one object.  Every node the parser
-builds, down to each Var and Const, goes through a table that lives exactly
-as long as the parse and hands back the node already built for an equal
-key, so a parsed file holds one node per distinct subtree.  Nodes are
-frozen and compare structurally, so only the number of objects changes;
-two parses of one text share no node.  A key is a tuple of the node's class
-name, its names and the ids of its children.  It holds no class object: a
-class is tracked by the garbage collector, and so is every tuple that holds
-one, while a tuple of strings and ints is untracked at the first
-collection that sees it.  So the keys of a long parse are not traversed
-again, nor promoted to the old generation for every full collection to
-walk.
+Equal terms, formulas and definitions are one object, within a text and
+across texts.  Every node the parser builds, down to each Var and Const and
+up to each PredicateDef and ConstantDef, goes through one table for the
+whole process, which hands back the node already built for an equal key
+while that node lives.  So a parsed file holds one node per distinct
+subtree, and two parses of one text, or of texts that define the same
+things, share every equal node: `==` between them meets the same objects
+and answers at once.  Nodes are frozen and compare structurally, so only
+the number of objects changes.
+
+A key is a tuple of the node's class name, its names and the ids of its
+children.  The table holds each node by a weak reference that carries its
+key, so it keeps no node alive: a live node keeps its children alive, so
+the ids in every live key name the children it was built from, and a node
+that dies drops its key (a reference found dead before that is a miss).
+A key holds no class object: a class is tracked by the garbage collector,
+and so is every tuple that holds one, while a tuple of strings and ints is
+untracked at the first collection that sees it.  So the keys of a long
+parse are not traversed again, nor promoted to the old generation for
+every full collection to walk.  Two threads that miss on one key at once
+may each build a node for it, so a race of two builds at most two equal
+nodes: the table keeps the one entered last, and the other is equal, only
+not shared.
 
 Names resolve through the system's symbol table (`DefinitionSystem.symbols`),
 which a defsys block extends entry by entry.  Definition bodies may mention
@@ -67,6 +78,7 @@ or `c = {3};`.
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass
 from itertools import islice
 from typing import Sequence
@@ -134,6 +146,24 @@ _WORD = re.compile(
 )
 
 
+class _Ref(weakref.ref):
+    """A weak reference to a node of `_NODES` that carries the node's key."""
+
+    __slots__ = ("key",)
+
+
+def _drop(ref: _Ref) -> None:
+    """Drop a dead node's key, unless the key has since been given to
+    another node."""
+    if _NODES.get(ref.key) is ref:
+        del _NODES[ref.key]
+
+
+# Every node the parser has built that is still alive, under its key (see
+# `_Parser.build` and the module docstring).
+_NODES: dict[tuple, _Ref] = {}
+
+
 def _error(message: str, text: str, at: int) -> ParseError:
     """A ParseError at word `at` of `text`: lines and columns count from 1,
     and a tab is one column."""
@@ -178,7 +208,7 @@ class _Parser:
     raised.
     """
 
-    __slots__ = ("text", "words", "names", "i", "depth", "height", "nodes")
+    __slots__ = ("text", "words", "names", "i", "depth", "height")
 
     def __init__(self, text: str):
         self.text = text
@@ -187,20 +217,31 @@ class _Parser:
         self.depth = 0
         # Tree depth of the formula parsed last: 0 for an atom.
         self.height = 0
-        # Each distinct node of this parse, under its key (see `build`).
-        self.nodes: dict[tuple, Formula | Term] = {}
 
     # ------------------------------------------------------------- nodes
 
-    def build(self, key: tuple, cls: type, *fields: object) -> Formula | Term:
-        """The node cls(*fields) of this parse, built only if no node has
-        `key` yet.  A key is the class's name, then each name by value and
-        each child node by id: the table keeps every node it keys alive, so
-        equal keys are equal nodes.  No key holds a class object, so the
-        garbage collector untracks every key (see the module docstring)."""
-        node = self.nodes.get(key)
-        if node is None:
-            node = self.nodes[key] = cls(*fields)
+    @staticmethod
+    def build(
+        key: tuple, cls: type, *fields: object
+    ) -> Formula | Term | Definition:
+        """The live node of the process under `key`, else cls(*fields),
+        entered under `key`.  A key is the class's name, then each name by
+        value and each child node by id.  The table holds its nodes weakly
+        and a live node keeps its children alive, so a live key's ids name
+        live children, and equal keys are equal nodes.  A node lives as long
+        as its callers hold it, and its key goes with it.  Two threads that
+        miss on one key at once build two equal nodes, and the table keeps
+        the one entered last.  No key holds a class object, so the garbage
+        collector untracks every key (see the module docstring)."""
+        ref = _NODES.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = cls(*fields)
+        ref = _Ref(node, _drop)
+        ref.key = key
+        _NODES[key] = ref
         return node
 
     # ------------------------------------------------------ word plumbing
@@ -361,7 +402,13 @@ class _Parser:
                 scope.bound = set(params)
                 body = self.formula(scope)
                 self.expect(";")
-                entry = PredicateDef(name, tuple(params), body)
+                entry = self.build(
+                    ("PredicateDef", name, id(body), *params),
+                    PredicateDef,
+                    name,
+                    tuple(params),
+                    body,
+                )
             elif w == "defconst":
                 self.i += 1
                 name = self.name()
@@ -374,7 +421,9 @@ class _Parser:
                 left = self.build(("Var", var), Var, var)
                 right = self.build(("Const", rhs), Const, rhs)
                 body = self.build(("Eq", id(left), id(right)), Eq, left, right)
-                entry = ConstantDef(name, var, body)
+                entry = self.build(
+                    ("ConstantDef", name, var, id(body)), ConstantDef, name, var, body
+                )
             else:
                 raise self.fail("expected 'def' or 'defconst'")
             entries.append(entry)

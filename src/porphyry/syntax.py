@@ -4,13 +4,16 @@ Terms are variables or constants only; there are no function symbols of
 positive arity.  Terms and formulas are frozen, slotted dataclasses,
 compared and hashed by their fields: a node has no `__dict__`, so it is
 smaller and quicker to build, and the garbage collector has less to
-traverse in a heap of parsed definitions.  A parsed formula shares its
-equal subtrees (see `parser`), and `rename_apart` keeps each node it does
-not change, so `is` never tells two occurrences of a subformula apart:
-walkers look at structure, not identity.  The parser finds the node it
-already built for an equal subtree in a table keyed by the class's name,
-the node's names and its children's ids: a key of strings and ints, with
-no class object in it, is one the garbage collector stops tracking.
+traverse in a heap of parsed definitions.  Each has one more slot, for
+weak references, from its base `_Weak`.  Parsed formulas share their equal
+subtrees, within a parse and across parses (see `parser`), and
+`rename_apart` keeps each node it does not change, so `is` never tells two
+occurrences of a subformula apart: walkers look at structure, not
+identity.  The parser finds the live node it already built
+for an equal subtree in one table for the process, which holds its nodes
+weakly and keys each by the class's name, the node's names and its
+children's ids: a key of strings and ints, with no class object in it, is
+one the garbage collector stops tracking, and a node that dies drops it.
 
 The concrete syntax is declared once, in three tables: `CONNECTIVES` gives
 each binary connective's symbol, binding power and associativity,
@@ -37,8 +40,15 @@ from typing import Mapping, NamedTuple, Union
 # ---------------------------------------------------------------- terms
 
 
+class _Weak:
+    """The base of terms, formula nodes and definitions: its one slot is the
+    one a weak reference needs, as the parser's node table holds them."""
+
+    __slots__ = ("__weakref__",)
+
+
 @dataclass(frozen=True, slots=True)
-class Var:
+class Var(_Weak):
     name: str
 
     def __str__(self) -> str:
@@ -46,7 +56,7 @@ class Var:
 
 
 @dataclass(frozen=True, slots=True)
-class Const:
+class Const(_Weak):
     name: str
 
     def __str__(self) -> str:
@@ -59,7 +69,7 @@ Term = Union[Var, Const]
 # ------------------------------------------------------------- formulas
 
 
-class _Node:
+class _Node(_Weak):
     """A formula node: its str is its text in the DSL."""
 
     __slots__ = ()

@@ -17,6 +17,7 @@ After an intended change to what the parser gives, rewrite the table with
 and review which texts moved.
 """
 
+import collections
 import dataclasses
 import hashlib
 import json
@@ -269,20 +270,29 @@ def canon(x) -> str:
     return " ".join(out)
 
 
-def outcome(call) -> str:
-    try:
-        return canon(call())
-    except ParseError as e:
-        return canon(("ParseError", e.message, e.line, e.col))
+def results(text: str) -> list:
+    """What parse, parse_formula and parse_formulas_infer give for text:
+    each result, or the message, line and column of its ParseError."""
+    out = []
+    for call in (
+        lambda: parse(text),
+        lambda: parse_formula(text, SYSTEM.base, SYSTEM),
+        lambda: parse_formulas_infer(text.split(";")),
+    ):
+        try:
+            out.append(call())
+        except ParseError as e:
+            out.append(("ParseError", e.message, e.line, e.col))
+    return out
+
+
+def digest_of(got: list) -> str:
+    parts = [canon(r) for r in got]
+    return hashlib.blake2b("\n".join(parts).encode(), digest_size=6).hexdigest()
 
 
 def digest(text: str) -> str:
-    parts = (
-        outcome(lambda: parse(text)),
-        outcome(lambda: parse_formula(text, SYSTEM.base, SYSTEM)),
-        outcome(lambda: parse_formulas_infer(text.split(";"))),
-    )
-    return hashlib.blake2b("\n".join(parts).encode(), digest_size=6).hexdigest()
+    return digest_of(results(text))
 
 
 def test_parse_results_match_golden_digests():
@@ -294,6 +304,26 @@ def test_parse_results_match_golden_digests():
         for i, (text, want) in enumerate(zip(corpus, expected["digests"]))
         if digest(text) != want
     ]
+    assert differ == [], f"{len(differ)} texts parse differently, first: {differ[:3]}"
+
+
+def test_shuffled_parses_match_golden_digests():
+    # The parser's node table lives as long as the process and hands back
+    # live nodes by their children's ids.  In another order, with a random
+    # few results kept alive a while and the rest dropped at once, so that
+    # the ids of dead nodes are taken again, every text gives the same.
+    expected = json.loads(GOLDEN.read_text())["digests"]
+    corpus = list(enumerate(texts()))
+    rng = random.Random(29)
+    rng.shuffle(corpus)
+    kept: collections.deque = collections.deque(maxlen=16)
+    differ = []
+    for i, text in corpus:
+        got = results(text)
+        if digest_of(got) != expected[i]:
+            differ.append((i, text))
+        if rng.random() < 0.25:
+            kept.append(got)
     assert differ == [], f"{len(differ)} texts parse differently, first: {differ[:3]}"
 
 

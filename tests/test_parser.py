@@ -1,4 +1,5 @@
 import gc
+import operator
 import random
 import sys
 
@@ -33,7 +34,7 @@ from porphyry import (
     render,
     validate,
 )
-from porphyry.parser import _PUNCT, KEYWORDS, _Parser, _words
+from porphyry.parser import _NODES, _PUNCT, KEYWORDS, _words
 from porphyry.syntax import CONNECTIVES, KEYWORD_OF
 
 SIG = Signature((("M1", 1), ("M2", 1)), ("c",), False)
@@ -456,29 +457,54 @@ def test_a_parse_builds_each_distinct_subtree_once():
         nodes = _nodes(e.body for e in first.system.entries)
         # Structurally equal nodes of one parse are one object ...
         assert len({id(g) for g in nodes}) == len(set(nodes))
-        # ... and two parses of the same text share none.
+        # ... and two parses of one text share every node.
         again = _nodes(e.body for e in second.system.entries)
         assert again == nodes
-        assert {id(g) for g in nodes}.isdisjoint(map(id, again))
+        assert all(g is h for g, h in zip(nodes, again))
+        assert all(map(operator.is_, first.system.entries, second.system.entries))
 
 
 def test_node_table_keys_are_untracked():
     # A key holds the class's name, names and ids, never the class, so one
-    # collection untracks every key of a parse's node table.
+    # collection untracks every key of the process's node table.
     text = _chain(200, random.Random(28)).replace(
         "pred R/2; }", "pred R/2; const c; equality; }"
     )
-    p = _Parser(
+    parsed = parse(
         text
         + "\ndefsys { defconst k := c; def T() := !true | false <-> true; }"
         + "\nassert forall x. x = c -> Q0(c);"
     )
-    p.parse_file()
-    # Every node class has keys: Var, Const, Pred, Eq, Not and the tables'.
-    kinds = {key[0] for key in p.nodes}
-    assert len(kinds) == 5 + len(KEYWORD_OF) + len(CONNECTIVES)
+    # Every node class has keys: Var, Const, Pred, Eq, Not, the tables'
+    # and both kinds of definition.
+    kinds = {key[0] for key in _NODES}
+    assert len(kinds) == 5 + len(KEYWORD_OF) + len(CONNECTIVES) + 2
     gc.collect()
-    assert not any(gc.is_tracked(key) for key in p.nodes)
+    assert not any(gc.is_tracked(key) for key in _NODES)
+    assert len(parsed.system.entries) == 202
+
+
+def test_node_table_holds_only_live_nodes():
+    # The table holds its nodes weakly: what a dropped parse alone kept
+    # alive leaves it, and what is left is alive.
+    gc.collect()
+    before = len(_NODES)
+    files = [parse(_chain(200, random.Random(seed))) for seed in range(3)]
+    assert len(_NODES) > before + 3 * 200
+    del files
+    gc.collect()
+    assert len(_NODES) == before
+    assert all(ref() is not None for ref in _NODES.values())
+
+
+def test_two_parses_of_a_deep_body_compare_equal():
+    # Structural == on two separately built 450-conjunct chains recurses
+    # past the interpreter's limit; two parses of the chain share it.
+    body = " & ".join(["M(x)", "N(x)", "!M(x)"] * 150)
+    text = f"sig {{ pred M/1; pred N/1; }}\ndefsys {{ def D(x) := {body}; }}"
+    first, second = parse(text), parse(text)
+    assert first == second
+    assert first.system.entries[0] is second.system.entries[0]
 
 
 def test_each_mark_is_one_word():

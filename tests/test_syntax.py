@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import weakref
 
 import hypothesis.strategies as st
 import pytest
@@ -122,7 +123,8 @@ PAIR_TEXTS = {
 
 def test_nodes_are_slotted_frozen_dataclasses():
     # Terms, formula nodes and definitions keep their fields in slots, with
-    # no __dict__, and stay frozen dataclasses hashed by their fields.
+    # no __dict__, and stay frozen dataclasses hashed by their fields.  Each
+    # takes a weak reference, as the parser's node table needs.
     x, c = Var("x"), Const("c")
     made = [
         x,
@@ -141,6 +143,7 @@ def test_nodes_are_slotted_frozen_dataclasses():
     assert len({type(g) for g in made}) == len(made)
     for g in made:
         assert not hasattr(g, "__dict__")
+        assert weakref.ref(g)() is g
         assert dataclasses.is_dataclass(g)
         for f in dataclasses.fields(g):
             with pytest.raises(dataclasses.FrozenInstanceError):
