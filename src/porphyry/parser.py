@@ -45,7 +45,11 @@ while that node lives.  So a parsed file holds one node per distinct
 subtree, and two parses of one text, or of texts that define the same
 things, share every equal node: `==` between them meets the same objects
 and answers at once.  Nodes are frozen and compare structurally, so only
-the number of objects changes.
+the number of objects changes.  The sharing saves work and memory only
+where equal text is parsed again while an earlier parse of it lives; every
+live node pays for the table with a weak reference, its key and a slot in
+the table, about four times the size of the node itself, and a node that
+dies calls `_drop`.
 
 A key is a tuple of the node's class name, its names and the ids of its
 children.  The table holds each node by a weak reference that carries its
@@ -160,8 +164,30 @@ def _drop(ref: _Ref) -> None:
 
 
 # Every node the parser has built that is still alive, under its key (see
-# `_Parser.build` and the module docstring).
+# `_build` and the module docstring).  It outlives every parse.
 _NODES: dict[tuple, _Ref] = {}
+
+
+def _build(key: tuple, cls: type, *fields: object) -> Formula | Term | Definition:
+    """The live node of the process under `key`, else cls(*fields), entered
+    under `key`.  A key is the class's name, then each name by value and
+    each child node by id.  The table holds its nodes weakly and a live node
+    keeps its children alive, so a live key's ids name live children, and
+    equal keys are equal nodes.  A node lives as long as its callers hold
+    it, and its key goes with it.  Two threads that miss on one key at once
+    build two equal nodes, and the table keeps the one entered last.  No key
+    holds a class object, so the garbage collector untracks every key (see
+    the module docstring)."""
+    ref = _NODES.get(key)
+    if ref is not None:
+        node = ref()
+        if node is not None:
+            return node
+    node = cls(*fields)
+    ref = _Ref(node, _drop)
+    ref.key = key
+    _NODES[key] = ref
+    return node
 
 
 def _error(message: str, text: str, at: int) -> ParseError:
@@ -217,32 +243,6 @@ class _Parser:
         self.depth = 0
         # Tree depth of the formula parsed last: 0 for an atom.
         self.height = 0
-
-    # ------------------------------------------------------------- nodes
-
-    @staticmethod
-    def build(
-        key: tuple, cls: type, *fields: object
-    ) -> Formula | Term | Definition:
-        """The live node of the process under `key`, else cls(*fields),
-        entered under `key`.  A key is the class's name, then each name by
-        value and each child node by id.  The table holds its nodes weakly
-        and a live node keeps its children alive, so a live key's ids name
-        live children, and equal keys are equal nodes.  A node lives as long
-        as its callers hold it, and its key goes with it.  Two threads that
-        miss on one key at once build two equal nodes, and the table keeps
-        the one entered last.  No key holds a class object, so the garbage
-        collector untracks every key (see the module docstring)."""
-        ref = _NODES.get(key)
-        if ref is not None:
-            node = ref()
-            if node is not None:
-                return node
-        node = cls(*fields)
-        ref = _Ref(node, _drop)
-        ref.key = key
-        _NODES[key] = ref
-        return node
 
     # ------------------------------------------------------ word plumbing
 
@@ -402,7 +402,7 @@ class _Parser:
                 scope.bound = set(params)
                 body = self.formula(scope)
                 self.expect(";")
-                entry = self.build(
+                entry = _build(
                     ("PredicateDef", name, id(body), *params),
                     PredicateDef,
                     name,
@@ -418,10 +418,10 @@ class _Parser:
                 scope.check_constant(rhs, at, self)
                 self.expect(";")
                 var = fresh_name("y", sig.names() | {name, rhs})
-                left = self.build(("Var", var), Var, var)
-                right = self.build(("Const", rhs), Const, rhs)
-                body = self.build(("Eq", id(left), id(right)), Eq, left, right)
-                entry = self.build(
+                left = _build(("Var", var), Var, var)
+                right = _build(("Const", rhs), Const, rhs)
+                body = _build(("Eq", id(left), id(right)), Eq, left, right)
+                entry = _build(
                     ("ConstantDef", name, var, id(body)), ConstantDef, name, var, body
                 )
             else:
@@ -544,7 +544,7 @@ class _Parser:
             if height >= MAX_DEPTH:
                 raise self.too_deep()
             self.height = height + 1
-            left = self.build((cls.__name__, id(left), id(right)), cls, left, right)
+            left = _build((cls.__name__, id(left), id(right)), cls, left, right)
             op = _BINARY.get(words[self.i])
         return left
 
@@ -579,7 +579,7 @@ class _Parser:
                         raise self.expected("')'")
                 self.i = i + 1
                 scope.check_application(w, at, len(args), self)
-                return self.build(tuple(key), Pred, w, tuple(args))
+                return _build(tuple(key), Pred, w, tuple(args))
             if w2 == "=":
                 left = scope.resolve_term(w, at, self)
                 self.i = at + 2
@@ -589,7 +589,7 @@ class _Parser:
                 right = scope.resolve_term(t, self.i, self)
                 self.i += 1
                 scope.check_equality(at, self)
-                return self.build(("Eq", id(left), id(right)), Eq, left, right)
+                return _build(("Eq", id(left), id(right)), Eq, left, right)
             return scope.bare_name(w, at, self)
         if w == "(" or w == "!":
             if self.depth >= MAX_NESTING:
@@ -605,7 +605,7 @@ class _Parser:
             if self.height >= MAX_DEPTH:
                 raise self.too_deep()
             self.height += 1
-            return self.build(("Not", id(body)), Not, body)
+            return _build(("Not", id(body)), Not, body)
         cls = _KEYWORD_NODES.get(w)
         if cls in QUANTIFIERS:
             var_at = self.i
@@ -625,10 +625,10 @@ class _Parser:
             if self.height >= MAX_DEPTH:
                 raise self.too_deep()
             self.height += 1
-            return self.build((cls.__name__, var, id(body)), cls, var, body)
+            return _build((cls.__name__, var, id(body)), cls, var, body)
         if cls is not None:
             self.height = 0
-            return self.build((cls.__name__,), cls)
+            return _build((cls.__name__,), cls)
         self.i = at
         raise self.expected("a formula")
 
@@ -673,10 +673,10 @@ class _Scope:
 
     def resolve_term(self, name: str, at: int, p: _Parser) -> Term:
         if name in self.bound or name not in self.symbols:
-            return p.build(("Var", name), Var, name)
+            return _build(("Var", name), Var, name)
         if self.symbols[name][1] is not None:
             raise p.fail(f"predicate {name} used as a term", at)
-        return p.build(("Const", name), Const, name)
+        return _build(("Const", name), Const, name)
 
     def check_application(self, name: str, at: int, arity: int, p: _Parser) -> None:
         if not self.strict:
@@ -697,7 +697,7 @@ class _Scope:
     def bare_name(self, name: str, at: int, p: _Parser) -> Formula:
         declared = self.arity(name)
         if declared == 0:
-            return p.build(("Pred", name), Pred, name, ())
+            return _build(("Pred", name), Pred, name, ())
         if self.strict:
             if declared is not None:
                 raise p.fail(
@@ -706,7 +706,7 @@ class _Scope:
             raise p.fail(f"unknown predicate {name}", at)
         if name in self.bound or (declared is None and name in self.symbols):
             raise p.fail(f"{name} is a term, not a formula", at)
-        return p.build(("Pred", name), Pred, name, ())
+        return _build(("Pred", name), Pred, name, ())
 
 
 def parse(text: str) -> ParsedFile:
@@ -763,11 +763,11 @@ def parse_formulas_infer(
 
         def resolve_term(self, name: str, at: int, p: _Parser) -> Term:
             if name in self.bound:
-                return p.build(("Var", name), Var, name)
+                return _build(("Var", name), Var, name)
             if name in preds:
                 raise p.fail(f"{name} used both as predicate and term", at)
             consts.setdefault(name, None)
-            return p.build(("Const", name), Const, name)
+            return _build(("Const", name), Const, name)
 
         def check_application(
             self, name: str, at: int, arity: int, p: _Parser
@@ -788,7 +788,7 @@ def parse_formulas_infer(
             if name in consts:
                 raise p.fail(f"{name} used both as predicate and term", at)
             self.check_application(name, at, 0, p)
-            return p.build(("Pred", name), Pred, name, ())
+            return _build(("Pred", name), Pred, name, ())
 
     raw = [_whole_formula(_Parser(text), _InferScope()) for text in texts]
     sig = Signature(
