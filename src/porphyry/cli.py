@@ -536,7 +536,7 @@ def _cmd_reconstruct(args, ceiling):
     pf = parse_path(args.file)
     model = _pick_model(pf, args.model)
     family = _parse_family(args.family, pf.signature, model)
-    result = reconstruct(family)
+    result = reconstruct(family, ceiling)
     payload = dict.fromkeys(_RECONSTRUCT)
     if isinstance(result, ReconstructedSystem):
         block = "defsys {\n" + "\n".join(

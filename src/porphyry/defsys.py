@@ -18,7 +18,11 @@ is linear in the output (the unfolded formula is a tree view of the
 definitions' DAG).  One last pass names the bound variables: in pre-order
 each binder keeps its written name unless a free variable of the output,
 a symbol of the system or an earlier binder has it, and then takes the
-least free suffix.  Both read an atom that mentions a constant which is
+least free suffix.  Each node the expansion leaves as it was, its parts
+the same objects and its binder keeping its name, is handed back as the
+node it was, so a formula that reaches no definition and renames no binder
+comes back as itself, and its kept facts (see `syntax.facts`) serve every
+later reader.  Both read an atom that mentions a constant which is
 not uniquely described as "the atom holds of some element the
 description holds of", through the one expansion, `_expand`.
 
@@ -71,6 +75,7 @@ from .syntax import (
     Var,
     Verum,
     _Weak,
+    _known,
     conjuncts,
     facts,
     render,
@@ -350,16 +355,31 @@ def _expand(
     description unfolds to the one atom `w = t`, as `defconst k := t`
     does, is replaced by t.
 
-    One explicit-stack walk emits the output in pre-order.  Each raw body
-    is read once per use, under an environment from its terms to what they
-    stand for: a binder (by its index in pre-order), a free variable of f
-    or a base constant.  Then each binder is named, in pre-order: it
-    keeps its written name unless that is a free variable of the output, a
-    symbol or an earlier binder's name, and then takes the least free
-    suffix, as `fresh_name` does, counted on from the last one taken for
-    that name.  Last, the tree is built bottom-up from the emitted ops.
+    One explicit-stack walk emits the output in pre-order, each op with
+    the node it comes from (None for a description's wrap).  Each raw
+    body is read once per use, under an environment from its terms to
+    what they stand for: a binder (by its index in pre-order), a free
+    variable of f or a base constant.  Then each binder is named, in
+    pre-order: it keeps its written name unless that is a free variable of
+    the output, a symbol or an earlier binder's name, and then takes the
+    least free suffix, as `fresh_name` does, counted on from the last one
+    taken for that name.  Last, the tree is built bottom-up from the
+    emitted ops, and a node whose parts come back as the same objects, its
+    binder keeping its written name, comes back as itself, as in
+    `rename_apart`: what the expansion does not change stays the node it
+    was, of f or of an entry's body.  So f comes back as itself when it
+    reaches no entry and no binder is renamed, which its kept facts decide
+    before any walk.
     """
-    ops: list[tuple] = []  # the output in pre-order: (node type, fields...)
+    fx, binders = _known(f)
+    if (
+        binders is not None
+        and not any(b in table for b in binders)
+        # A name the table lacks is left to the walk, which raises on it.
+        and all(table.get(n, (0,))[0] < 0 for n in (*fx.preds, *fx.consts))
+    ):
+        return f
+    ops: list[tuple] = []  # the output in pre-order: (node type, source, fields...)
     written: list[str] = []  # each binder's written name, in pre-order
     taken: set[str] = set()  # the output's free variables, then binder names
     reads: dict[str, Const] = {}  # the defined constants that read as a term
@@ -369,7 +389,7 @@ def _expand(
     while stack:
         g, env = stack.pop()
         if isinstance(g, BINARY):
-            ops.append((type(g),))
+            ops.append((type(g), g))
             stack += ((g.right, env), (g.left, env))
         elif isinstance(g, (Pred, Eq)):
             name, raw = (
@@ -390,35 +410,35 @@ def _expand(
                     (c, len(ops)),
                     (e.body, {Var(e.var): b}),
                 ]
-                ops += [(Exists, b), (And,)]
+                ops += [(Exists, None, b), (And, None)]
             elif j >= 0 and arity is not None:
                 e = entries[j]
                 stack.append((e.body, dict(zip(map(Var, e.params), args))))
             else:
                 taken.update(a.name for a in args if isinstance(a, Var))
-                ops.append((type(g), name, args))
+                ops.append((type(g), g, raw, args))
         elif isinstance(g, Const):
             # g's description is emitted.  When it unfolded to the one atom
             # `w = t`, g reads as t, as `defconst g := t` does: the wrap is
             # undone, and the atom that mentions g reads t.
             desc = ops[env + 2 :]
             b = len(written) - 1
-            if len(desc) == 1 and desc[0][0] is Eq and b in desc[0][2]:
-                left, right = desc[0][2]
+            if len(desc) == 1 and desc[0][0] is Eq and b in desc[0][3]:
+                left, right = desc[0][3]
                 t = right if left == b else left
                 if isinstance(t, Const):
                     reads[g.name] = stack[-1][1][g] = t
                     del ops[env:]
                     written.pop()
         elif isinstance(g, Not):
-            ops.append((Not,))
+            ops.append((Not, g))
             stack.append((g.body, env))
         elif isinstance(g, QUANTIFIERS):
-            ops.append((type(g), len(written)))
+            ops.append((type(g), g, len(written)))
             stack.append((g.body, {**env, Var(g.var): len(written)}))
             written.append(g.var)
         elif isinstance(g, (Verum, Falsum)):
-            ops.append((type(g),))
+            ops.append((type(g), g))
         else:
             raise TypeError(f"not a formula: {g!r}")
 
@@ -437,19 +457,38 @@ def _expand(
 
     out: list[Formula] = []
     for op in reversed(ops):
-        kind = op[0]
+        kind, g = op[0], op[1]
         if kind is Pred or kind is Eq:
-            terms = tuple(Var(names[a]) if isinstance(a, int) else a for a in op[2])
-            out.append(Pred(op[1], terms) if kind is Pred else Eq(*terms))
+            # A term that reads as itself, a bound variable that keeps its
+            # name among them, keeps its node.
+            terms = []
+            for t, a in zip(op[2], op[3]):
+                if isinstance(a, int):
+                    a = t if isinstance(t, Var) and t.name == names[a] else Var(names[a])
+                elif a is not t and a == t:
+                    a = t
+                terms.append(a)
+            if all(a is t for a, t in zip(terms, op[2])):
+                out.append(g)
+            else:
+                out.append(Pred(g.name, tuple(terms)) if kind is Pred else Eq(*terms))
         elif kind is Not:
-            out.append(Not(out.pop()))
+            body = out.pop()
+            out.append(g if body is g.body else Not(body))
         elif kind in QUANTIFIERS:
-            out.append(kind(names[op[1]], out.pop()))
+            name, body = names[op[2]], out.pop()
+            if g is not None and name == g.var and body is g.body:
+                out.append(g)
+            else:
+                out.append(kind(name, body))
         elif kind in BINARY:
-            left = out.pop()
-            out.append(kind(left, out.pop()))
+            left, right = out.pop(), out.pop()
+            if g is not None and left is g.left and right is g.right:
+                out.append(g)
+            else:
+                out.append(kind(left, right))
         else:
-            out.append(kind())
+            out.append(g)
     return out.pop()
 
 
@@ -474,9 +513,12 @@ def unfold(f: Formula, d: DefinitionSystem) -> Formula:
     expand_model gives.  Each binder keeps the name written in its
     definition, unless that is a free variable of the output, a symbol of
     the system or an earlier binder's name in pre-order; then it takes the
-    least free suffix (`y`, `y1`, `y2`, ...).  ValueError when d is
-    invalid, or when f uses a symbol that is not declared or defined, or at
-    another arity or kind than its own.
+    least free suffix (`y`, `y1`, `y2`, ...).  Every node the expansion
+    does not change is handed back as it is: f itself when it reaches no
+    definition and renames no binder, and otherwise the nodes of f and of
+    the definitions' bodies wherever nothing below them changes.
+    ValueError when d is invalid, or when f uses a symbol that is not
+    declared or defined, or at another arity or kind than its own.
     """
     return _unfold(f, d, _require_valid(d))
 

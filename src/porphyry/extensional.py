@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .defsys import (
     DefinitionSystem,
@@ -20,7 +21,7 @@ from .defsys import (
     expand_model,
 )
 from .parser import KEYWORDS
-from .semantics import FiniteModel, recheck
+from .semantics import DEFAULT_CEILING, FiniteModel, ResourceCeilingError, recheck
 from .syntax import (
     And,
     Formula,
@@ -135,11 +136,15 @@ def _implicant_formula(
 
 
 def _minimal_cover(
-    k: int, minterms: frozenset[int], dontcare: frozenset[int]
+    k: int, minterms: frozenset[int], dontcare: frozenset[int], ceiling: int | None
 ) -> list[tuple[int, int]]:
     """Smallest disjunction of cell-literal conjunctions covering minterms,
     free to include dontcare cells.  Deterministic: prime implicants ordered
-    by (literal count, fixed bits, values), first minimal combination wins."""
+    by (literal count, fixed bits, values), first minimal combination wins.
+    Before the combinations of each size r are tried, those tried so far
+    plus the C(p, r) of that size, p the number of primes, are counted
+    against the ceiling: ResourceCeilingError (what="cover search nodes")
+    past it."""
     allowed = minterms | dontcare
     # An implicant (value, care) covers the cells c with c & care == value:
     # value plus any bits outside care.  Its coverage determines it.
@@ -159,7 +164,13 @@ def _minimal_cover(
         if not any(cov < other for other in implicants)
     ]
     primes.sort(key=lambda p: _impl_key(p[1]))
+    limit = DEFAULT_CEILING if ceiling is None else ceiling
+    tried = 0
     for r in range(1, len(primes) + 1):
+        needed = tried + comb(len(primes), r)
+        if needed > limit:
+            raise ResourceCeilingError(needed, limit, "cover search nodes")
+        tried = needed
         for combo in combinations(primes, r):
             covered = frozenset().union(*(cov for cov, _ in combo))
             if minterms <= covered:
@@ -179,14 +190,19 @@ def _sanitize(name: str, taken: set[str]) -> str:
     return fresh_name(base, taken)
 
 
-def reconstruct(g: ExtensionFamily) -> ReconstructionResult:
+def reconstruct(
+    g: ExtensionFamily, ceiling: int | None = None
+) -> ReconstructionResult:
     """Invert extension-taking over the family's carrier model.
 
     Largest sets first; each set becomes a definition whose body is a
     minimized disjunction of base cells, guarded by its parent (the
     smallest strict superset, unique in a laminar family).  Cells outside
     the parent are don't-cares, which is what lets a child body shrink to
-    a single predicate when the model allows it.
+    a single predicate when the model allows it.  Each set's cover search
+    counts the combinations of prime implicants it would try against the
+    ceiling, level by level: ResourceCeilingError (what="cover search
+    nodes") before a level that would pass it.
     """
     m = g.model
     preds = _unary_preds(g.signature)
@@ -253,7 +269,7 @@ def reconstruct(g: ExtensionFamily) -> ReconstructionResult:
             parent = None
             parent_cells = realized
         dontcare = frozenset(range(1 << k)) - parent_cells
-        cover = _minimal_cover(k, cells, dontcare)
+        cover = _minimal_cover(k, cells, dontcare, ceiling)
         body = big_or(
             [_implicant_formula(v, c, preds, var) for v, c in cover]
         )

@@ -120,7 +120,8 @@ class ResourceCeilingError(Exception):
 
     `what` names what was counted: "interpretations" (the bounded engine),
     "supports" (the exact engine), "normal form disjuncts",
-    "sub-conjunctions" (proximate_genus) or "array axes" (either engine, or
+    "sub-conjunctions" (proximate_genus), "cover search nodes"
+    (reconstruct) or "array axes" (either engine, or
     the expansion of a model, on a formula whose arrays would need more
     axes than numpy allows: one per holder and per level of quantifier
     nesting, and one for the model).  `needed` is the exact count
@@ -657,7 +658,10 @@ def _scan(rows, queries, chunks, size, frees, consts, depth, extent_cells):
     model per chunk, until the axes of the others fit.  Arrays have axis i
     for holder i, one more axis per level of quantifier nesting, and the
     model last.  Each row a query needs is evaluated once per chunk and
-    assignment of the fixed holders.
+    assignment of the fixed holders.  Premises that are the first and the
+    last rows (`_ends`), as leaving one row out gives, are conjoined from
+    running conjunctions from both ends, shared by the queries; others one
+    row at a time.
 
     A hit is first in (model, holder elements lexicographic) order, and
     every holder sits inside its model's universe.  It is flattened into
@@ -686,6 +690,7 @@ def _scan(rows, queries, chunks, size, frees, consts, depth, extent_cells):
     }
     weights = np.left_shift(1, np.arange(size, dtype=np.int64))
     lead = (holders, *range(holders))
+    ends = {q: _ends(premises, len(rows)) for q, (premises, _) in queries.items()}
     found: set[int] = set()
     for chunk in chunks(step):
         n, preds, named, domain = chunk
@@ -702,11 +707,33 @@ def _scan(rows, queries, chunks, size, frees, consts, depth, extent_cells):
             ev = _Tensors(preds, named, n, size, ndim, domain)
             truths: dict[int, np.ndarray] = {}
             guards: dict[int, np.ndarray | None] = {}
+            # heads[k - 1] conjoins rows 0..k-1, and tails[k - 1] the last k.
+            heads: list[np.ndarray] = []
+            tails: list[np.ndarray] = []
 
             def truth(i: int) -> np.ndarray:
                 if i not in truths:
                     truths[i] = ev.truth(rows[i], scope, holders, n * spread)
                 return truths[i]
+
+            def conjoined(premises, end) -> np.ndarray | None:
+                """The premise rows conjoined; None for none."""
+                if end is None:
+                    hit = None
+                    for i in premises:
+                        hit = truth(i) if hit is None else hit & truth(i)
+                    return hit
+                head, tail = end
+                while len(heads) < head:
+                    t = truth(len(heads))
+                    heads.append(t if not heads else heads[-1] & t)
+                while len(tails) < tail:
+                    t = truth(len(rows) - 1 - len(tails))
+                    tails.append(t if not tails else t & tails[-1])
+                hit = heads[head - 1] if head else None
+                if tail:
+                    hit = tails[tail - 1] if hit is None else hit & tails[tail - 1]
+                return hit
 
             def guard(upto: int) -> np.ndarray | None:
                 """Holders 0..upto-1 all sit inside the universe, model
@@ -724,9 +751,7 @@ def _scan(rows, queries, chunks, size, frees, consts, depth, extent_cells):
             for q, (premises, conclusion) in queries.items():
                 if q in found:
                     continue
-                hit = None
-                for i in premises:
-                    hit = truth(i) if hit is None else hit & truth(i)
+                hit = conjoined(premises, ends[q])
                 if conclusion is not None:
                     # On booleans, a > b is a & ~b in one pass.
                     t = truth(conclusion)
@@ -754,11 +779,26 @@ def _scan(rows, queries, chunks, size, frees, consts, depth, extent_cells):
                 break
         # Free this chunk's arrays before the next chunk is decoded, so that
         # the decode can reuse their memory.
-        del ev, truths, guards, hit, mask, inside
+        del ev, truths, guards, heads, tails, hit, mask, inside
         if hits:
             yield chunk, hits
         if len(found) == len(queries):
             return
+
+
+def _ends(premises: tuple[int, ...], nrows: int) -> tuple[int, int] | None:
+    """(h, t) when the premises are the first h and the last t of nrows
+    rows, in any order, else None.  `_scan` conjoins such premises from
+    running conjunctions from both ends, which it shares between queries:
+    leaving out one row of m costs one AND per query, not m - 2."""
+    rows = sorted(set(premises))
+    head = 0
+    while head < len(rows) and rows[head] == head:
+        head += 1
+    tail = len(rows) - head
+    if rows[head:] != list(range(nrows - tail, nrows)):
+        return None
+    return head, tail
 
 
 def _first_true(a: np.ndarray, shape: tuple[int, ...]) -> list[int] | None:

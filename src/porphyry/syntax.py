@@ -28,12 +28,17 @@ their arities, constants, free variables, names, quantifier depth, use of
 equality and size.  `free_vars`, `predicates_of` and the other readers are
 one-line reads of it, and a caller that needs several facts of a formula
 takes them from one call.  The walk keeps an explicit stack, so no depth of
-nesting overflows the interpreter stack.
+nesting overflows the interpreter stack.  A formula keeps its facts after
+the first walk, in a slot of its own node that is no dataclass field, so
+every later call on the same object is a field read; only the formula
+asked keeps them, not its subformulas.  Since every caller then shares
+them, a `Facts` is read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, NamedTuple, Union
 
 
@@ -70,9 +75,13 @@ Term = Union[Var, Const]
 
 
 class _Node(_Weak):
-    """A formula node: its str is its text in the DSL."""
+    """A formula node: its str is its text in the DSL.
 
-    __slots__ = ()
+    Its one slot, `_known`, is not a dataclass field, so `fields`, `repr`,
+    `==`, `hash` and pickling do not see it: `facts` fills it on the first
+    walk of the node, and a copy starts without it."""
+
+    __slots__ = ("_known",)
 
     def __str__(self) -> str:
         return render(self)
@@ -228,9 +237,13 @@ class Facts(NamedTuple):
     names holds every variable, constant and binder name.  depth is the
     deepest quantifier nesting, equality whether `=` occurs, and nodes the
     number of formula nodes (terms are not counted).
+
+    A Facts is read-only: preds is a read-only view whose arity sets are
+    frozensets, and every other field is immutable, since the formula it
+    describes keeps it for every later caller.
     """
 
-    preds: dict[str, set[int]]
+    preds: Mapping[str, frozenset[int]]
     consts: tuple[str, ...]
     frees: frozenset[str]
     names: frozenset[str]
@@ -249,13 +262,32 @@ class Facts(NamedTuple):
         return out
 
 
+# The arity sets of one arity, shared by every Facts.
+_ARITY = tuple(frozenset((arity,)) for arity in range(8))
+
+
 def facts(f: Formula) -> Facts:
     """The Facts of f, from one pre-order walk, left operand first, with an
-    explicit stack.  TypeError on a non-formula."""
-    preds: dict[str, set[int]] = {}
+    explicit stack.  f keeps them, so every later call on the same object
+    reads them without a walk; its subformulas are not walked on their
+    own, and keep nothing.  TypeError on a non-formula."""
+    return _known(f)[0]
+
+
+def _known(f: Formula) -> tuple[Facts, tuple[str, ...] | None]:
+    """What f keeps after its first walk: its Facts, and the names of its
+    binders when no two binders and no free variable of f share a name,
+    else None.  `defsys._expand` reads the second: such a formula that
+    reaches no definition, and whose binders are not symbols, comes back
+    from it as itself."""
+    known = getattr(f, "_known", None)
+    if known is not None:
+        return known
+    preds: dict[str, frozenset[int]] = {}
     consts: dict[str, None] = {}
     frees: set[str] = set()
     names: set[str] = set()
+    binders: list[str] = []  # in pre-order
     depth = 0
     equality = False
     nodes = 0
@@ -268,7 +300,14 @@ def facts(f: Formula) -> Facts:
             stack.append((g.left, bound, level))
         elif isinstance(g, (Pred, Eq)):
             if isinstance(g, Pred):
-                preds.setdefault(g.name, set()).add(len(g.args))
+                arity = len(g.args)
+                seen = preds.get(g.name)
+                if seen is None:
+                    preds[g.name] = (
+                        _ARITY[arity] if arity < len(_ARITY) else frozenset((arity,))
+                    )
+                elif arity not in seen:
+                    preds[g.name] = seen | {arity}
                 terms = g.args
             else:
                 equality = True
@@ -284,11 +323,12 @@ def facts(f: Formula) -> Facts:
         elif isinstance(g, QUANTIFIERS):
             depth = max(depth, level + 1)
             names.add(g.var)
+            binders.append(g.var)
             stack.append((g.body, bound | {g.var}, level + 1))
         elif not isinstance(g, (Verum, Falsum)):
             raise TypeError(f"not a formula: {g!r}")
-    return Facts(
-        preds,
+    fx = Facts(
+        MappingProxyType(preds),
         tuple(consts),
         frozenset(frees),
         frozenset(names),
@@ -296,6 +336,10 @@ def facts(f: Formula) -> Facts:
         equality,
         nodes,
     )
+    distinct = len(set(binders)) == len(binders) and frees.isdisjoint(binders)
+    known = fx, tuple(binders) if distinct else None
+    object.__setattr__(f, "_known", known)
+    return known
 
 
 def free_vars(f: Formula) -> frozenset[str]:

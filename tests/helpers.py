@@ -1,11 +1,15 @@
 """Shared oracles and random generators for the test suite.
 
 Everything here is written from first principles so the package is
-checked against independent logic rather than against itself.
+checked against independent logic rather than against itself.  The one
+exception, `count_walks`, is a probe: it counts what the package does and
+decides nothing.
 """
 
 import itertools
+import random
 
+import porphyry.syntax
 from porphyry import (
     And,
     Const,
@@ -13,6 +17,7 @@ from porphyry import (
     DefinitionSystem,
     Eq,
     Exists,
+    ExtensionFamily,
     Falsum,
     FiniteModel,
     Forall,
@@ -705,3 +710,41 @@ def brute_magma_axiom_sets(max_size):
                     sets[name].add(idx)
             idx += 1
     return sets, idx
+
+
+def seeded_cover_family(k, seed=1):
+    """A one-set family over k unary predicates whose cover search is the
+    seeded one: cells in the set with probability 0.4, then 0.2 of the
+    rest left out of the model, as don't-cares; one element per other
+    cell."""
+    rng = random.Random(seed)
+    cells = range(1 << k)
+    minterms = {c for c in cells if rng.random() < 0.4}
+    dontcare = {c for c in cells if c not in minterms and rng.random() < 0.2}
+    present = [c for c in cells if c not in dontcare]
+    preds = [f"M{i}" for i in range(k)]
+    model = FiniteModel(
+        len(present),
+        {},
+        {
+            p: frozenset((e,) for e, c in enumerate(present) if c >> i & 1)
+            for i, p in enumerate(preds)
+        },
+    )
+    sig = Signature(tuple((p, 1) for p in preds), (), False)
+    inside = frozenset(e for e, c in enumerate(present) if c in minterms)
+    return ExtensionFamily(sig, model, (("S", inside),))
+
+
+def count_walks(monkeypatch):
+    """A list that grows by one for each walk `facts` makes: each walk
+    builds one Facts."""
+    walks = []
+    facts_type = porphyry.syntax.Facts
+
+    def counted(*fields):
+        walks.append(fields)
+        return facts_type(*fields)
+
+    monkeypatch.setattr(porphyry.syntax, "Facts", counted)
+    return walks

@@ -143,6 +143,37 @@ def test_bounded_batch_witnesses_match_one_query_scans(monkeypatch, cells):
             assert v == _verdicts(sig, rows, [query], 3, None)[0]
 
 
+@pytest.mark.parametrize("cells", [40, 3])
+@pytest.mark.parametrize("bound", [None, 2])
+def test_leave_one_out_batches_match_one_query_scans(monkeypatch, cells, bound):
+    # Each query leaves one row out, as the redundancy warnings ask, so its
+    # premises are the first and the last rows and are conjoined from both
+    # ends.  The one-query scan asks the same premises as one row, which
+    # conjoins them inside the evaluator: the same rows and holders, so the
+    # same verdict and witness.
+    _small_chunks(monkeypatch, cells)
+    rng = random.Random(505)
+    kinds = set()
+    for _ in range(12):
+        consts = rng.sample(["c"], rng.randint(0, 1))
+        frees = rng.sample(["x", "y"], rng.randint(0, 2 - len(consts)))
+        sig = Signature((("M1", 1), ("M2", 1)), tuple(consts), False)
+        rows = [
+            random_formula(rng, ["M1", "M2"], scope=frees, max_q=2, depth=3, consts=consts)
+            for _ in range(rng.randint(2, 4))
+        ]
+        # A row that another entails, so that some queries hold.
+        rows.insert(rng.randrange(len(rows) + 1), Or(rows[0], rows[-1]))
+        m = len(rows)
+        queries = [(tuple(k for k in range(m) if k != j), j) for j in range(m)]
+        verdicts = _verdicts(sig, rows, queries, bound, None)
+        for (premises, j), v in zip(queries, verdicts):
+            alone = [big_and([rows[k] for k in premises]), rows[j]]
+            assert v == _verdicts(sig, alone, [((0,), 1)], bound, None)[0]
+            kinds.add(type(v))
+    assert Countermodel in kinds and len(kinds) == 2
+
+
 def _pad(rows, sig):
     """A valid formula that uses every predicate and holder of the rows, so
     the oracle scans the cells and holders the batch scans."""

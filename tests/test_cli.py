@@ -11,6 +11,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings
 
+from helpers import seeded_cover_family
 from porphyry import cli, evaluate, parse
 from porphyry.magma import demo_dsl
 
@@ -345,6 +346,26 @@ def test_reconstruct_not_laminar(capsys, tmp_path):
     assert payload["result"] == "not-laminar"
     assert payload["witness"]["first"]["name"] == "A"
     assert payload["witness"]["second"]["name"] == "B"
+
+
+def test_reconstruct_stops_at_the_ceiling(capsys, tmp_path):
+    # The seeded 7-predicate cover search would try more combinations of
+    # its primes than the default ceiling allows, so the command exits 2
+    # before the level that passes it, where it used to run for hours.
+    family = seeded_cover_family(7)
+    p = tmp_path / "cells.pdl"
+    p.write_text(
+        family.signature.to_dsl() + "\n" + family.model.to_dsl("m", family.signature)
+    )
+    ((name, elems),) = family.sets
+    argv = ["reconstruct", str(p), "--model", "m"]
+    argv += ["--family", f"{name}={{{', '.join(map(str, sorted(elems)))}}}"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (cli.EXIT_ERROR, "")
+    assert err.endswith(" cover search nodes, ceiling is 2000000\n")
+    code, out, err = run(capsys, argv + ["--ceiling", "10"])
+    assert (code, out) == (cli.EXIT_ERROR, "")
+    assert err.endswith(" cover search nodes, ceiling is 10\n")
 
 
 def test_generators(capsys, tmp_path):

@@ -351,6 +351,51 @@ def test_unfold_matches_naive_oracle_up_to_renaming():
     assert kinds == {False, True}
 
 
+def test_unfold_hands_back_what_it_does_not_change():
+    d = parse(
+        "sig { pred M1/1; pred M2/1; const c; }\n"
+        "defsys {\n"
+        "  def A(x) := M1(x) & (exists y. M2(y));\n"
+        "  def B(x) := A(x) & (forall z. M1(z) | M2(c));\n"
+        "}\n"
+    ).system
+    a, b = (e.body for e in d.entries)
+    # Over base symbols, with no binder to rename: f itself.
+    f = Forall("x", Implies(P("M1", "x"), Exists("y", P("M2", "y"))))
+    assert unfold(f, d) is f
+    # Each part of a body that the expansion does not change is the
+    # parser's node: here all of A's body, read at its own parameter.
+    u = unfold(P("B", "x"), d)
+    assert u == And(a, b.right) and u.left is a and u.right is b.right
+    # Read at another variable, the atom that mentions it is rebuilt.
+    u = unfold(P("B", "w"), d)
+    assert render(u) == "M1(w) & (exists y. M2(y)) & (forall z. M1(z) | M2(c))"
+    assert u.left.right is a.right and u.right is b.right
+    # A binder renamed away from a free variable is rebuilt, with what
+    # reads it; what does not is kept.
+    f = And(P("M1", "y"), Exists("y", And(P("M2", "y"), Pred("M1", (Const("c"),)))))
+    u = unfold(f, d)
+    assert render(u) == "M1(y) & (exists y1. M2(y1) & M1(c))"
+    assert u.left is f.left and u.right.body.right is f.right.body.right
+
+
+def test_unfold_is_the_formula_itself_when_nothing_changes():
+    rng = random.Random(30)
+    kept = changed = 0
+    for _ in range(300):
+        d = random_mixed_system(rng, rng.randrange(2, 6))
+        f = random_mixed_formula(
+            rng, MIXED_SIG.predicates, MIXED_SIG.constants, ["x", "y"], max_q=2
+        )
+        u = unfold(f, d)
+        if u == f:
+            assert u is f
+            kept += 1
+        else:
+            changed += 1
+    assert kept > 200 and changed > 10
+
+
 def test_unfold_reads_a_description_that_unfolds_to_a_term():
     # k's description unfolds to `y = c` through D0 and D1, and e is
     # defined as k, so both read as c; j's description does not.

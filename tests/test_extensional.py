@@ -1,8 +1,9 @@
 import random
+from math import comb
 
 import pytest
 
-from helpers import random_laminar_cell_family, random_model
+from helpers import random_laminar_cell_family, random_model, seeded_cover_family
 from porphyry import (
     DefinitionSystem,
     ExtensionFamily,
@@ -12,6 +13,7 @@ from porphyry import (
     Pred,
     PredicateDef,
     ReconstructedSystem,
+    ResourceCeilingError,
     Signature,
     Undefinable,
     Var,
@@ -173,3 +175,19 @@ def test_reconstruct_random_round_trips():
         got = extensions(r.system, model).as_dict()
         for name, elems in fam_sets:
             assert got[r.names[name]] == elems
+
+
+def test_reconstruct_counts_its_cover_search_against_the_ceiling():
+    # The seeded k=5 set needs 6 of its p primes: the search tries at most
+    # C(p, 1) + ... + C(p, 6) combinations, and checks the ceiling before
+    # each size, so it finishes at exactly that ceiling and not below.
+    family = seeded_cover_family(5)
+    with pytest.raises(ResourceCeilingError) as first:
+        reconstruct(family, ceiling=1)
+    primes = first.value.needed
+    assert first.value.what == "cover search nodes"
+    needed = sum(comb(primes, r) for r in range(1, 7))
+    assert reconstruct(family, ceiling=needed) == reconstruct(family)
+    with pytest.raises(ResourceCeilingError) as short:
+        reconstruct(family, ceiling=needed - 1)
+    assert (short.value.needed, short.value.ceiling) == (needed, needed - 1)

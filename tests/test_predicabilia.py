@@ -1,7 +1,10 @@
+import copy
+from pathlib import Path
+
 import pytest
 
 import porphyry.defsys
-from helpers import all_models, naive_eval
+from helpers import all_models, count_walks, naive_eval
 from porphyry import (
     Accident,
     And,
@@ -28,6 +31,7 @@ from porphyry import (
     expand_model,
     generators,
     parse_formula,
+    parse_path,
     porphyry_tree,
     proximate_genus,
     render,
@@ -37,6 +41,8 @@ from porphyry.magma import DEMO_SYSTEM
 from porphyry.syntax import conjuncts, nnf, node_count
 
 SIG = Signature((("M1", 1), ("M2", 1)), (), False)
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+GRP_BASE = ["Assoc", "HasId", "HasInv", "Comm"]
 
 
 def P(name, v):
@@ -419,6 +425,41 @@ def test_public_calls_build_the_symbol_table_once(monkeypatch):
         calls.clear()
         run()
         assert calls == [DEMO_SYSTEM]
+
+
+def test_each_formula_is_walked_once(monkeypatch):
+    # A formula keeps its facts, and unfolding hands back what it does not
+    # change, so a public call walks each formula it builds once, and a
+    # formula over base symbols or a body of the system only on the first
+    # call that asks of it.  The system is copied so that no earlier parse
+    # of the same text has walked it.
+    d = copy.deepcopy(parse_path(DEMOS / "grp.pdl").system)
+    walks = count_walks(monkeypatch)
+
+    def counted(call):
+        walks.clear()
+        call()
+        return len(walks)
+
+    sentences = [
+        Exists("x", And(P(base, "x"), Not(P(other, "x"))))
+        for base, other in zip(GRP_BASE, GRP_BASE[1:] + GRP_BASE[:1])
+    ] + [Forall("x", P(base, "x")) for base in GRP_BASE[:3]]
+    assert len(sentences) == 7
+    # The three bodies on the first call, then each sentence once.
+    assert counted(lambda: generators(sentences, d)) == 3 + 7
+    assert counted(lambda: generators(sentences, d)) == 0
+    # rho, built anew by each call, the species atom and its unfolding;
+    # the first call also walks Ab's difference, Comm(x), an atom of its
+    # body.
+    classify = lambda: classify_formula(P("Comm", "x"), "Ab", d)
+    assert (counted(classify), counted(classify)) == (4, 3)
+    # The species atom and each candidate's, and their unfoldings, but for
+    # Mon(x)'s, which is Mon's body itself.  The first call also walks the
+    # unfolded body's conjuncts, atoms of the bodies that no call has asked
+    # of before (Comm(x) has been).
+    proximate = lambda: proximate_genus("Ab", ["Grp", "Mon"], d)
+    assert (counted(proximate), counted(proximate)) == (8, 5)
 
 
 def test_tree_of_a_deep_body():

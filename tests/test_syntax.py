@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 import random
 import weakref
 
@@ -6,7 +8,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from helpers import all_models, naive_eval, occurring, random_formula
+from helpers import all_models, count_walks, naive_eval, occurring, random_formula
 from porphyry import (
     And,
     Const,
@@ -251,6 +253,46 @@ def test_facts_match_recursive_reference():
     assert facts(f) == Facts(
         {"M1": {1}}, ("c",), frozenset(), frozenset({"x", "c"}), 1, True, 5
     )
+
+
+def test_facts_are_kept_on_the_formula_asked(monkeypatch):
+    walks = count_walks(monkeypatch)
+    f = And(P("M1", "x"), Exists("y", Or(P("M2", "y"), Eq(Var("y"), Const("c")))))
+    fx = facts(f)
+    assert facts(f) is fx
+    assert free_vars(f) == {"x"} and quantifier_depth(f) == 1
+    assert len(walks) == 1
+    # Only the formula asked keeps them: its subformula is walked on its own.
+    assert facts(f.right).frees == frozenset()
+    assert len(walks) == 2
+    # Every caller shares them, so no caller can change them.
+    with pytest.raises(AttributeError):
+        fx.preds["M1"].add(2)
+    with pytest.raises(TypeError):
+        fx.preds["M3"] = frozenset({1})
+    assert facts(f) == Facts(
+        {"M1": {1}, "M2": {1}},
+        ("c",),
+        frozenset({"x"}),
+        frozenset({"x", "y", "c"}),
+        1,
+        True,
+        6,
+    )
+
+
+def test_copies_of_a_node_that_keeps_its_facts():
+    sig = Signature((("M1", 1), ("M2", 1)), ("c",), True)
+    f = parse_formula("forall x. M1(x) -> (exists y. M2(y) & x = c)", sig)
+    fx = facts(f)
+    copies = [copy.copy(f), copy.deepcopy(f)]
+    copies += [
+        pickle.loads(pickle.dumps(f, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    for g in copies:
+        assert g == f and hash(g) == hash(f) and repr(g) == repr(f)
+        assert facts(g) == fx
 
 
 def test_facts_first_occurrence_is_pre_order():
